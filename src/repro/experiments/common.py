@@ -136,7 +136,7 @@ def rbf_model(benchmark: str, sample_size: int) -> ModelBuildResult:
         phys, cpi = test_set(benchmark)
         with stage("rbf_model", benchmark=benchmark, sample_size=sample_size):
             result = builder(benchmark).build(sample_size, phys, cpi)
-            result.network.calibrate(result.unit_points, result.responses)
+            result.model.calibrate(result.unit_points, result.responses)
             _models[key] = result
     return _models[key]
 

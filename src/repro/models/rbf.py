@@ -24,8 +24,9 @@ scale) are chosen per benchmark by grid search for the lowest AICc
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,14 +222,12 @@ class RBFNetwork(Model):
 
 @dataclass
 class CandidateSet:
-    """Alpha-independent geometry of one tree's candidate centers.
+    """Alpha-independent geometry of a breadth-first list of tree nodes.
 
-    The ``(p_min, alpha)`` grid search shares a regression tree across
-    the whole alpha grid; everything here (breadth-first node order,
-    center coordinates, rectangle edge lengths and the ``points -
-    centers`` differences feeding the design matrix) depends only on the
-    tree and the sample, so it is computed once per tree and reused for
-    every alpha instead of being rebuilt per network.
+    Everything here (the nodes, their center coordinates, rectangle edge
+    lengths and the ``points - centers`` differences feeding the design
+    matrix) depends only on the tree and the sample, so it is computed
+    once and reused for every alpha instead of being rebuilt per network.
     """
 
     nodes: List[TreeNode]
@@ -240,7 +239,7 @@ class CandidateSet:
 def tree_candidates(
     points: np.ndarray, tree: RegressionTree, max_candidates: int = 255
 ) -> CandidateSet:
-    """Precompute the candidate geometry shared across an alpha grid."""
+    """Geometry of the first ``max_candidates`` nodes of ``tree``, breadth first."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     nodes = tree.nodes_breadth_first()[:max_candidates]
     centers = np.atleast_2d(np.array([n.center for n in nodes], dtype=float))
@@ -264,6 +263,140 @@ class RBFBuildInfo:
     selected_nodes: List[TreeNode] = field(default_factory=list, repr=False)
 
 
+class _SubsetFits:
+    """Criterion of column subsets of one design matrix, each fitted once.
+
+    Subsets are keyed by their column mask.  Every walk sharing one of
+    these reuses its fits: a single walk revisits selections (each step
+    re-scores the current one, and sibling steps often propose the same
+    subset), and at one alpha the walks of the different ``p_min`` trees
+    propose many of the same subsets again.
+    """
+
+    def __init__(self, h: np.ndarray, responses: np.ndarray, criterion) -> None:
+        self.h = h
+        self.responses = responses
+        self.criterion = criterion
+        self.cache: Dict[bytes, float] = {}
+        self.fits = 0  #: least-squares fits run
+        self.hits = 0  #: subsets answered from the cache
+
+    def fit(self, selected: np.ndarray):
+        """``(weights, sse)`` of the columns ``selected`` masks."""
+        self.fits += 1
+        return _fit_weights(self.h[:, selected], self.responses)
+
+    def __call__(self, selected: np.ndarray, size: int) -> float:
+        key = selected.tobytes()
+        value = self.cache.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        p = len(self.responses)
+        if size >= p - 1:  # AICc undefined; reject oversized models
+            value = np.inf
+        else:
+            value = self.criterion(p, self.fit(selected)[1], size)
+        self.cache[key] = value
+        return value
+
+
+#: A trio's (node, left, right) include bits in the order the walk scores
+#: them, each with its count of set bits.
+_TRIO_COMBOS = tuple(
+    ((bool(c & 4), bool(c & 2), bool(c & 1)), bin(c).count("1")) for c in range(8)
+)
+
+
+class _Walk(NamedTuple):
+    """One tree's subset-selection problem over a shared design matrix."""
+
+    p_min: int
+    tree_depth: int
+    nodes: List[TreeNode]  #: the candidates, breadth first
+    columns: Sequence[int]  #: design-matrix column of each candidate
+    trios: List[Tuple[int, int, int]]  #: columns of each trio, in visit order
+
+
+def _walk(p_min: int, tree: RegressionTree, nodes: List[TreeNode],
+          columns: Sequence[int]) -> _Walk:
+    """Plan the selection walk over ``tree``'s candidates ``nodes``.
+
+    Descending from the root with a FIFO queue, the walk visits exactly the
+    internal candidates whose two children are candidates too, in
+    breadth-first order: a node's children come after its whole level, so
+    a node whose children made the cap has a parent whose children made it
+    as well.
+    """
+    column = {id(node): col for node, col in zip(nodes, columns)}
+    trios = []
+    for node, col in zip(nodes, columns):
+        if node.is_leaf:
+            continue
+        left, right = column.get(id(node.left)), column.get(id(node.right))
+        if left is not None and right is not None:
+            trios.append((col, left, right))
+    return _Walk(p_min, tree.depth, nodes, columns, trios)
+
+
+def _select_subset(trios: List[Tuple[int, int, int]], width: int,
+                   score: _SubsetFits) -> Tuple[np.ndarray, float]:
+    """Tree-ordered subset selection (Orr et al. 2000) over ``width`` columns.
+
+    Include the root (column 0), then for each trio keep the best of its 8
+    include/exclude combinations; the first strict minimum wins.  Returns
+    the column mask and its criterion value.
+    """
+    selected = np.zeros(width, dtype=bool)
+    selected[0] = True
+    size = 1
+    best_value = score(selected, size)
+    for a, b, c in trios:
+        best_bits = (bool(selected[a]), bool(selected[b]), bool(selected[c]))
+        rest = size - sum(best_bits)
+        for bits, count in _TRIO_COMBOS:
+            selected[a], selected[b], selected[c] = bits
+            value = score(selected, rest + count)
+            if value < best_value:
+                best_value, best_bits = value, bits
+        selected[a], selected[b], selected[c] = best_bits
+        size = rest + sum(best_bits)
+    if size == 0:  # degenerate; fall back to the root-only model
+        selected[0] = True
+        best_value = score(selected, 1)
+    return selected, best_value
+
+
+def _select_network(
+    walk: _Walk,
+    score: _SubsetFits,
+    centers: np.ndarray,
+    radii: np.ndarray,
+    alpha: float,
+    criterion: str,
+) -> Tuple[RBFNetwork, RBFBuildInfo]:
+    """Select one tree's centers among the columns of ``score``'s matrix."""
+    selected, value = _select_subset(walk.trios, len(centers), score)
+    weights, sse = score.fit(selected)
+    network = RBFNetwork(centers[selected], radii[selected], weights)
+    return network, RBFBuildInfo(
+        p_min=walk.p_min,
+        alpha=alpha,
+        criterion_name=criterion,
+        criterion_value=float(value),
+        sse=float(sse),
+        num_candidates=len(walk.nodes),
+        num_centers=int(selected.sum()),
+        tree_depth=walk.tree_depth,
+        selected_nodes=[n for n, col in zip(walk.nodes, walk.columns) if selected[col]],
+    )
+
+
+def _count_fits(score: _SubsetFits) -> None:
+    obs.inc("fit/subset_fits", score.fits)
+    obs.inc("fit/subset_cache_hits", score.hits)
+
+
 def build_rbf_from_tree(
     points: np.ndarray,
     responses: np.ndarray,
@@ -272,7 +405,6 @@ def build_rbf_from_tree(
     criterion: str = "aicc",
     max_candidates: int = 255,
     tree: Optional[RegressionTree] = None,
-    candidates: Optional[CandidateSet] = None,
 ) -> Tuple[RBFNetwork, RBFBuildInfo]:
     """Build one RBF network for fixed method parameters (Sec. 2.5).
 
@@ -292,10 +424,6 @@ def build_rbf_from_tree(
         (breadth-first order), bounding selection cost on large samples.
     tree:
         Optionally, a pre-built regression tree (must match ``p_min``).
-    candidates:
-        Optionally, the :func:`tree_candidates` geometry for ``tree``
-        (requires ``tree``); lets the alpha grid share one computation of
-        the center/difference arrays.
 
     Returns
     -------
@@ -304,88 +432,15 @@ def build_rbf_from_tree(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     responses = np.asarray(responses, dtype=float).ravel()
     crit_fn = get_criterion(criterion)
-    if candidates is None:
-        if tree is None:
-            tree = RegressionTree(points, responses, p_min=p_min)
-        candidates = tree_candidates(points, tree, max_candidates)
-    elif tree is None:
-        raise ValueError("candidates requires the matching tree")
-    nodes = candidates.nodes
-    node_pos = {id(node): j for j, node in enumerate(nodes)}
-
-    centers = candidates.centers
+    if tree is None:
+        tree = RegressionTree(points, responses, p_min=p_min)
+    candidates = tree_candidates(points, tree, max_candidates)
     radii = np.maximum(alpha * candidates.sizes, _MIN_RADIUS)
-    h_full = _design_from_diff(candidates.diff, radii)
-
-    p = len(points)
-    selected = np.zeros(len(nodes), dtype=bool)
-
-    # The trio walk revisits selections (every step re-scores the current
-    # one, and sibling steps often propose identical subsets), so each
-    # distinct subset's design-matrix fit is computed once and cached.
-    subset_cache: Dict[bytes, Tuple[float, float]] = {}
-
-    def evaluate(sel: np.ndarray) -> Tuple[float, float]:
-        key = sel.tobytes()
-        cached = subset_cache.get(key)
-        if cached is not None:
-            return cached
-        m = int(sel.sum())
-        if m >= p - 1:  # AICc undefined; reject oversized models
-            result = np.inf, np.inf
-        else:
-            _, sse = _fit_weights(h_full[:, sel], responses)
-            result = crit_fn(p, sse, m), sse
-        subset_cache[key] = result
-        return result
-
-    # Tree-ordered subset selection (Orr et al. 2000): include the root,
-    # then repeatedly consider a node with its two children and keep the
-    # best of the 8 include/exclude combinations.
-    selected[0] = True
-    best_value, best_sse = evaluate(selected)
-    queue: List[TreeNode] = [nodes[0]]
-    while queue:
-        node = queue.pop(0)
-        if node.is_leaf:
-            continue
-        trio = [node, node.left, node.right]
-        trio_pos = [node_pos.get(id(t)) for t in trio]
-        if any(pos is None for pos in trio_pos):
-            continue  # children beyond the candidate cap
-        best_combo = tuple(selected[pos] for pos in trio_pos)
-        for combo in range(8):
-            bits = ((combo >> 2) & 1, (combo >> 1) & 1, combo & 1)
-            trial = selected.copy()
-            for pos, bit in zip(trio_pos, bits):
-                trial[pos] = bool(bit)
-            value, sse = evaluate(trial)
-            if value < best_value:
-                best_value, best_sse = value, sse
-                best_combo = tuple(bool(b) for b in bits)
-        for pos, bit in zip(trio_pos, best_combo):
-            selected[pos] = bit
-        queue.append(node.left)
-        queue.append(node.right)
-
-    if not selected.any():  # degenerate; fall back to the root-only model
-        selected[0] = True
-        best_value, best_sse = evaluate(selected)
-
-    weights, sse = _fit_weights(h_full[:, selected], responses)
-    network = RBFNetwork(centers[selected], radii[selected], weights)
-    info = RBFBuildInfo(
-        p_min=p_min,
-        alpha=alpha,
-        criterion_name=criterion,
-        criterion_value=float(best_value),
-        sse=float(sse),
-        num_candidates=len(nodes),
-        num_centers=int(selected.sum()),
-        tree_depth=tree.depth,
-        selected_nodes=[n for n, s in zip(nodes, selected) if s],
-    )
-    return network, info
+    score = _SubsetFits(_design_from_diff(candidates.diff, radii), responses, crit_fn)
+    walk = _walk(p_min, tree, candidates.nodes, range(len(candidates.nodes)))
+    built = _select_network(walk, score, candidates.centers, radii, alpha, criterion)
+    _count_fits(score)
+    return built
 
 
 @dataclass
@@ -401,6 +456,24 @@ DEFAULT_P_MIN_GRID = (1, 2, 3, 5)
 DEFAULT_ALPHA_GRID = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0)
 
 
+def _paired_nodes(tree: RegressionTree,
+                  base: RegressionTree) -> List[Tuple[TreeNode, TreeNode]]:
+    """``tree``'s nodes breadth first, each with its twin in ``base``.
+
+    ``tree`` is ``base`` or a truncation of it, so walking both from the
+    root in step pairs every node with the ``base`` node of the same box.
+    """
+    pairs = []
+    queue = deque([(tree.root, base.root)])
+    while queue:
+        node, twin = queue.popleft()
+        pairs.append((node, twin))
+        if not node.is_leaf:
+            queue.append((node.left, twin.left))
+            queue.append((node.right, twin.right))
+    return pairs
+
+
 def search_rbf_model(
     points: np.ndarray,
     responses: np.ndarray,
@@ -411,35 +484,57 @@ def search_rbf_model(
 ) -> RBFSearchResult:
     """Grid-search ``(p_min, alpha)`` and keep the lowest-criterion network.
 
-    The regression tree is rebuilt once per ``p_min`` and shared across all
-    ``alpha`` values.
+    Returns bit for bit what a :func:`build_rbf_from_tree` call per grid
+    point gives, ``tried`` in ``p_min``-major grid order and the first
+    strict minimum in that order chosen, but does each distinct fit once:
+
+    * One regression tree is grown, at the smallest ``p_min``; each larger
+      ``p_min`` tree is its exact :meth:`RegressionTree.truncated`.  Every
+      candidate of every tree is thus a node of the one tree's breadth-first
+      list, and its Gaussian column is computed once per ``alpha``.
+    * ``alpha`` is the outer loop.  The ``p_min`` walks at one ``alpha``
+      share one fit cache keyed by the selected columns, so a subset that
+      two trees both propose is fitted once.  The cache is dropped before
+      the next ``alpha``, which bounds its memory.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     responses = np.asarray(responses, dtype=float).ravel()
+    if not p_min_grid or not alpha_grid:
+        raise ValueError("the (p_min, alpha) grid is empty")
+    crit_fn = get_criterion(criterion)
+    with obs.span("fit/tree", p_min=min(p_min_grid), points=len(points)) as tsp:
+        base = RegressionTree(points, responses, p_min=min(p_min_grid))
+        tsp.set(depth=base.depth)
+    column = {id(node): j for j, node in enumerate(base.nodes_breadth_first())}
+    # Each tree's candidates, as columns of the one tree's list.
+    walks = []
+    for p_min in p_min_grid:
+        tree = base if p_min == base.p_min else base.truncated(p_min)
+        pairs = _paired_nodes(tree, base)[:max_candidates]
+        walks.append(_walk(p_min, tree, [node for node, _ in pairs],
+                           [column[id(twin)] for _, twin in pairs]))
+    geometry = tree_candidates(points, base, 1 + max(max(w.columns) for w in walks))
+
+    # ``built[i][a]`` is the network at (p_min_grid[i], alpha_grid[a]).
+    built: List[List[Tuple[RBFNetwork, RBFBuildInfo]]] = [[] for _ in walks]
+    for alpha in alpha_grid:
+        radii = np.maximum(alpha * geometry.sizes, _MIN_RADIUS)
+        score = _SubsetFits(_design_from_diff(geometry.diff, radii), responses, crit_fn)
+        for row, walk in zip(built, walks):
+            row.append(_select_network(walk, score, geometry.centers, radii,
+                                       alpha, criterion))
+        _count_fits(score)
+        del score  # drop this alpha's cache before the next design matrix
+
     best: Optional[Tuple[RBFNetwork, RBFBuildInfo]] = None
     tried: List[RBFBuildInfo] = []
-    for p_min in p_min_grid:
-        with obs.span("fit/tree", p_min=p_min, points=len(points)) as tsp:
-            tree = RegressionTree(points, responses, p_min=p_min)
-            tsp.set(depth=tree.depth)
-        candidates = tree_candidates(points, tree, max_candidates)
-        for alpha in alpha_grid:
-            network, info = build_rbf_from_tree(
-                points,
-                responses,
-                p_min=p_min,
-                alpha=alpha,
-                criterion=criterion,
-                max_candidates=max_candidates,
-                tree=tree,
-                candidates=candidates,
-            )
-            tried.append(info)
-            obs.inc("aicc_iterations")
-            if np.isfinite(info.criterion_value):
-                obs.observe("fit/criterion", info.criterion_value)
-            if best is None or info.criterion_value < best[1].criterion_value:
-                best = (network, info)
+    for network, info in (entry for row in built for entry in row):
+        tried.append(info)
+        obs.inc("aicc_iterations")
+        if np.isfinite(info.criterion_value):
+            obs.observe("fit/criterion", info.criterion_value)
+        if best is None or info.criterion_value < best[1].criterion_value:
+            best = (network, info)
     assert best is not None
     obs.inc("fit/searches")
     return RBFSearchResult(network=best[0], info=best[1], tried=tried)

@@ -68,6 +68,17 @@ class TreeNode:
         return self.left is None
 
 
+def _truncate(node: TreeNode, p_min: int) -> TreeNode:
+    """Copy of the subtree at ``node`` with every node of <= ``p_min`` points a leaf."""
+    out = TreeNode(lower=node.lower, upper=node.upper, indices=node.indices,
+                   mean=node.mean, depth=node.depth)
+    if not node.is_leaf and len(node.indices) > p_min:
+        out.split = node.split
+        out.left = _truncate(node.left, p_min)
+        out.right = _truncate(node.right, p_min)
+    return out
+
+
 class RegressionTree(Model):
     """Recursive binary partition of a sample, minimising within-node variance.
 
@@ -171,6 +182,24 @@ class RegressionTree(Model):
         node.left = self._build(lower, left_upper, left_idx, depth + 1)
         node.right = self._build(right_lower, upper, right_idx, depth + 1)
         return node
+
+    def truncated(self, p_min: int) -> "RegressionTree":
+        """This tree as if it had been built with the larger leaf capacity ``p_min``.
+
+        Exact: ``p_min`` only decides where recursion stops, and a node's
+        split depends only on the points it holds, so cutting every node
+        holding at most ``p_min`` points reproduces
+        ``RegressionTree(points, responses, p_min)`` node for node without
+        searching a single split again.  Boxes, index arrays and splits are
+        shared with this tree (none of them is ever mutated).
+        """
+        if p_min < self.p_min:
+            raise ValueError("a truncation cannot lower p_min")
+        tree = object.__new__(type(self))
+        tree.points, tree.responses = self.points, self.responses
+        tree.p_min, tree._total = p_min, self._total
+        tree.root = _truncate(self.root, p_min)
+        return tree
 
     # -- traversal ------------------------------------------------------------
 

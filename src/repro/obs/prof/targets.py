@@ -105,7 +105,9 @@ def bench_attribution(ctx):
 
 @benchmark("sim/cache_hierarchy", group="simulator", tolerance=5.0)
 def bench_cache_hierarchy(ctx):
-    """Raw load-path traversal of the two-level cache hierarchy."""
+    """The scalar data-load loop the simulator runs: one
+    ``MemoryHierarchy.load`` call per access, in program order, as
+    ``ooo_core`` issues them."""
     from repro.simulator.config import ProcessorConfig
     from repro.simulator.hierarchy import MemoryHierarchy
 
@@ -116,15 +118,12 @@ def bench_cache_hierarchy(ctx):
     hot = rng.integers(0, 1 << 16, size=accesses) << 6
     cold = (rng.integers(0, 1 << 24, size=accesses) << 6) | (1 << 33)
     pick_cold = rng.random(accesses) < 0.2
-    addrs = np.where(pick_cold, cold, hot)
-    times = np.arange(accesses, dtype=float)
+    stream = list(zip(np.where(pick_cold, cold, hot).tolist(),
+                      np.arange(accesses, dtype=float).tolist()))
 
     def work():
         hierarchy = MemoryHierarchy(ProcessorConfig())
-        # Batched load path; the left-to-right Python sum reproduces the
-        # old scalar accumulation bitwise, so latency_hash is unchanged.
-        latencies = hierarchy.load_batch(addrs, times)
-        total = sum(latencies.tolist())
+        total = sum([hierarchy.load(addr, time) for addr, time in stream])
         return {
             "accesses": int(accesses),
             "latency_hash": stable_hash(total),
@@ -158,8 +157,15 @@ def bench_tree_construction(ctx):
 
 @benchmark("model/aicc_select", group="models", repeats=3, tolerance=5.0)
 def bench_aicc_selection(ctx):
-    """AICc subset selection of RBF centers from one regression tree."""
-    from repro.models.rbf import build_rbf_from_tree
+    """The ``(p_min, alpha)`` grid search ``repro build`` fits a model with.
+
+    :func:`~repro.models.rbf.search_rbf_model` over the default grid: one
+    regression tree and its truncations, then AICc subset selection of RBF
+    centers at every grid point.  ``subset_fits`` counts the least-squares
+    fits it ran, so losing fit sharing shows as work drift, not only time.
+    """
+    from repro import obs
+    from repro.models.rbf import search_rbf_model
 
     p = ctx.scale(160, 64)
     rng = np.random.default_rng(BENCH_SEED)
@@ -167,12 +173,18 @@ def bench_aicc_selection(ctx):
     responses = np.cos(points @ np.arange(1.0, 10.0)) + 0.05 * rng.random(p)
 
     def work():
-        _, info = build_rbf_from_tree(points, responses, p_min=2, alpha=6.0)
+        outer = obs.current()
+        with obs.collecting() as fit:
+            info = search_rbf_model(points, responses).info
+        if outer is not None:
+            outer.adopt(fit.payload())
         return {
             "points": int(p),
-            "candidates": int(info.num_candidates),
+            "p_min": int(info.p_min),
+            "alpha": float(info.alpha),
             "centers": int(info.num_centers),
             "criterion_hash": stable_hash(round(info.criterion_value, 6)),
+            "subset_fits": int(fit.metrics.counters["fit/subset_fits"]),
         }
 
     return work

@@ -116,6 +116,27 @@ class TestRenderers:
         assert "linear" in fig7_linear_vs_rbf.render(result).lower()
 
 
+class TestSharedModels:
+    def test_rbf_model_builds_and_calibrates(self, tmp_path, monkeypatch):
+        """The memoised model every RBF exhibit starts from, end to end on a
+        small sample and a short trace."""
+        from repro.experiments import common
+        from repro.experiments.runner import SimulationRunner
+
+        common.clear_memos()
+        monkeypatch.setattr(common, "TEST_POINTS", 6)
+        monkeypatch.setitem(common._runners, "mcf", SimulationRunner(
+            "mcf", trace_length=256, cache_dir=tmp_path))
+        try:
+            result = common.rbf_model("mcf", 10)
+            assert result.sample_size == 10
+            assert result.model.uncertainty is not None
+            assert result.errors is not None and result.errors.count == 6
+            assert common.rbf_model("mcf", 10) is result
+        finally:
+            common.clear_memos()
+
+
 class TestSummary:
     def test_collect_reports_missing(self, tmp_path):
         from repro.experiments.summary import collect

@@ -153,3 +153,35 @@ class TestSearch:
         result = search_rbf_model(x, y, p_min_grid=(1, 2), alpha_grid=(3.0, 6.0))
         assert result.info.p_min in (1, 2)
         assert result.info.alpha in (3.0, 6.0)
+
+    def test_search_fits_each_distinct_subset_once(self):
+        """Pinned work for one fixed synthetic sample.  One build per grid
+        point runs 8,729 fits; the search shares one tree and, per alpha,
+        one fit cache across the p_min walks, and runs 5,934.  Both score
+        the same 10,800 subsets (every lookup is a fit or a cache hit)."""
+        from repro import obs
+        from repro.models.rbf import DEFAULT_ALPHA_GRID, DEFAULT_P_MIN_GRID
+
+        rng = np.random.default_rng(20060101)
+        x = rng.random((64, 9))
+        y = np.cos(x @ np.arange(1.0, 10.0)) + 0.05 * rng.random(64)
+        with obs.collecting() as col:
+            search_rbf_model(x, y)
+        assert col.metrics.counters == {
+            "fit/subset_fits": 5934.0, "fit/subset_cache_hits": 4866.0,
+            "aicc_iterations": 36.0, "fit/searches": 1.0,
+        }
+        assert [span.name for span in col.roots] == ["fit/tree"]
+
+        with obs.collecting() as col:
+            for p_min in DEFAULT_P_MIN_GRID:
+                for alpha in DEFAULT_ALPHA_GRID:
+                    build_rbf_from_tree(x, y, p_min=p_min, alpha=alpha)
+        assert col.metrics.counters == {
+            "fit/subset_fits": 8729.0, "fit/subset_cache_hits": 2071.0,
+        }
+
+    def test_empty_grid_rejected(self, rng):
+        x = rng.random((10, 2))
+        with pytest.raises(ValueError):
+            search_rbf_model(x, x[:, 0], alpha_grid=())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.tree import RegressionTree
 
@@ -136,3 +138,47 @@ class TestSplitsOrdering:
         x = rng.random((10, 2))
         tree = RegressionTree(x, rng.random(10), p_min=2)
         assert "RegressionTree" in repr(tree)
+
+
+class TestTruncation:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), size=st.integers(1, 80),
+           dims=st.integers(1, 4), lattice=st.booleans())
+    def test_truncation_equals_fresh_tree(self, seed, size, dims, lattice):
+        rng = np.random.default_rng(seed)
+        x = rng.random((size, dims))
+        if lattice:  # ties and duplicate points: unsplittable nodes
+            x = np.round(x * 3) / 3
+        y = np.sin(3.0 * x[:, 0]) + 0.2 * rng.random(size)
+        probe = rng.random((16, dims))
+        base = RegressionTree(x, y, p_min=1)
+        for p_min in (1, 2, 3, 5, 8):
+            cut = base.truncated(p_min)
+            fresh = RegressionTree(x, y, p_min=p_min)
+            assert cut.p_min == p_min
+            got, want = cut.nodes_breadth_first(), fresh.nodes_breadth_first()
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.lower.tobytes() == w.lower.tobytes()
+                assert g.upper.tobytes() == w.upper.tobytes()
+                assert g.indices.tolist() == w.indices.tolist()
+                assert (g.mean, g.depth, g.split) == (w.mean, w.depth, w.split)
+                assert g.is_leaf == w.is_leaf
+            assert cut.depth == fresh.depth
+            assert cut.splits() == fresh.splits()
+            assert ([leaf.indices.tolist() for leaf in cut.leaves()]
+                    == [leaf.indices.tolist() for leaf in fresh.leaves()])
+            assert cut.predict(probe).tobytes() == fresh.predict(probe).tobytes()
+
+    def test_truncation_leaves_the_source_tree_intact(self, rng):
+        x = rng.random((30, 2))
+        tree = RegressionTree(x, rng.random(30), p_min=1)
+        before = len(tree.nodes_breadth_first())
+        tree.truncated(5)
+        assert len(tree.nodes_breadth_first()) == before
+        assert len(tree.leaves()) == 30
+
+    def test_truncation_cannot_lower_p_min(self, rng):
+        x = rng.random((10, 2))
+        with pytest.raises(ValueError):
+            RegressionTree(x, rng.random(10), p_min=3).truncated(2)

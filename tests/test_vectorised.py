@@ -9,8 +9,12 @@ per-element references, plus a literal bitwise CPI pin across all eight
 SPEC profiles.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.cache import Cache
 from repro.simulator.config import ProcessorConfig
@@ -170,8 +174,9 @@ class TestHierarchyBatch:
         )
 
     def test_batch_reproduces_bench_latency_sum(self):
-        # The exact seeded stream of the sim/cache_hierarchy benchmark;
-        # its work-metadata hash pins this sum across commits.
+        # The exact seeded stream of the sim/cache_hierarchy benchmark,
+        # whose work-metadata hash pins the scalar loop's sum across
+        # commits; the batch path must reproduce that sum.
         accesses = 2000
         rng = np.random.default_rng(20060101)
         hot = rng.integers(0, 1 << 16, size=accesses) << 6
@@ -289,16 +294,18 @@ def _naive_design_matrix(points, centers, radii):
     return h
 
 
-def _naive_build(points, responses, p_min, alpha, max_candidates=255):
+def _naive_build(points, responses, p_min, alpha, max_candidates=255, tree=None):
     """Reference tree-ordered AICc selection: no memoisation, no candidate
     cache, design matrix rebuilt from scratch — the pre-vectorisation
-    algorithm, kept as an executable specification."""
+    algorithm, kept as an executable specification.  ``tree``, if given,
+    is a fresh ``RegressionTree(points, responses, p_min)``."""
     from repro.models.rbf import _MIN_RADIUS, _fit_weights, gaussian_design_matrix
     from repro.models.selection import get_criterion
     from repro.models.tree import RegressionTree
 
     crit_fn = get_criterion("aicc")
-    tree = RegressionTree(points, responses, p_min=p_min)
+    if tree is None:
+        tree = RegressionTree(points, responses, p_min=p_min)
     nodes = tree.nodes_breadth_first()[:max_candidates]
     node_pos = {id(n): j for j, n in enumerate(nodes)}
     centers = np.array([n.center for n in nodes])
@@ -338,8 +345,56 @@ def _naive_build(points, responses, p_min, alpha, max_candidates=255):
             selected[pos] = bit
         queue.append(node.left)
         queue.append(node.right)
+    if not selected.any():
+        selected[0] = True
+        best_value, best_sse = evaluate(selected)
     weights, sse = _fit_weights(h_full[:, selected], responses)
-    return best_value, sse, int(selected.sum()), weights
+    return SimpleNamespace(
+        p_min=p_min, alpha=alpha, value=best_value, sse=sse,
+        num_centers=int(selected.sum()), num_candidates=len(nodes),
+        tree_depth=tree.depth, weights=weights, centers=centers[selected],
+        radii=radii[selected],
+        boxes=[(n.lower.tobytes(), n.upper.tobytes())
+               for n, s in zip(nodes, selected) if s],
+    )
+
+
+def _naive_search(points, responses, p_min_grid, alpha_grid, max_candidates):
+    """One naive build per grid point, ``p_min`` outer and ``alpha`` inner,
+    each ``p_min`` on its own freshly grown tree; returns the builds and
+    the index of the first strict minimum."""
+    from repro.models.tree import RegressionTree
+
+    builds = []
+    for p_min in p_min_grid:
+        tree = RegressionTree(points, responses, p_min=p_min)
+        builds += [_naive_build(points, responses, p_min, alpha,
+                                max_candidates=max_candidates, tree=tree)
+                   for alpha in alpha_grid]
+    best = 0
+    for i, build in enumerate(builds):
+        if build.value < builds[best].value:
+            best = i
+    return builds, best
+
+
+def _smooth(size, dims, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.random((size, dims))
+    return points, np.sin(points @ np.arange(1.0, dims + 1.0)) + 0.1 * rng.random(size)
+
+
+def _duplicated(size, dims, seed):
+    """Every point sampled twice or more: rank-deficient subsets."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.random((size // 3, dims))
+    points = distinct[np.arange(size) % len(distinct)]
+    return points, np.cos(points @ np.arange(1.0, dims + 1.0))
+
+
+def _constant(size, dims, seed, level):
+    rng = np.random.default_rng(seed)
+    return rng.random((size, dims)), np.full(size, level)
 
 
 class TestRBFVectorised:
@@ -383,21 +438,12 @@ class TestRBFVectorised:
             fresh_net, fresh_info = build_rbf_from_tree(
                 points, responses, p_min=2, alpha=alpha
             )
-            cand_net, cand_info = build_rbf_from_tree(
-                points, responses, p_min=2, alpha=alpha, tree=tree, candidates=cand
+            tree_net, tree_info = build_rbf_from_tree(
+                points, responses, p_min=2, alpha=alpha, tree=tree
             )
-            assert fresh_info.criterion_value == cand_info.criterion_value
-            assert fresh_info.sse == cand_info.sse
-            np.testing.assert_array_equal(fresh_net.weights, cand_net.weights)
-
-    def test_candidates_without_tree_rejected(self):
-        from repro.models.rbf import build_rbf_from_tree, tree_candidates
-        from repro.models.tree import RegressionTree
-
-        points, responses = self._sample(n=30, d=3)
-        cand = tree_candidates(points, RegressionTree(points, responses, p_min=2))
-        with pytest.raises(ValueError):
-            build_rbf_from_tree(points, responses, candidates=cand)
+            assert fresh_info.criterion_value == tree_info.criterion_value
+            assert fresh_info.sse == tree_info.sse
+            np.testing.assert_array_equal(fresh_net.weights, tree_net.weights)
 
     @pytest.mark.parametrize("p_min,alpha", [(1, 4.0), (2, 6.0), (3, 10.0)])
     def test_memoised_selection_matches_naive_reference(self, p_min, alpha):
@@ -407,14 +453,82 @@ class TestRBFVectorised:
         network, info = build_rbf_from_tree(
             points, responses, p_min=p_min, alpha=alpha
         )
-        value, sse, num_centers, weights = _naive_build(
-            points, responses, p_min, alpha
-        )
+        want = _naive_build(points, responses, p_min, alpha)
         # Bitwise: the memoised/cached path must change nothing.
-        assert info.criterion_value == value
-        assert info.sse == sse
-        assert info.num_centers == num_centers
-        np.testing.assert_array_equal(network.weights, weights)
+        assert info.criterion_value == want.value
+        assert info.sse == want.sse
+        assert info.num_centers == want.num_centers
+        np.testing.assert_array_equal(network.weights, want.weights)
+
+    @staticmethod
+    def _assert_grid_matches_naive(points, responses, p_min_grid=None,
+                                   alpha_grid=None, max_candidates=255):
+        from repro.models.rbf import (DEFAULT_ALPHA_GRID, DEFAULT_P_MIN_GRID,
+                                      search_rbf_model)
+
+        p_min_grid = p_min_grid or DEFAULT_P_MIN_GRID
+        alpha_grid = alpha_grid or DEFAULT_ALPHA_GRID
+        result = search_rbf_model(points, responses, p_min_grid, alpha_grid,
+                                  max_candidates=max_candidates)
+        builds, best = _naive_search(points, responses, p_min_grid,
+                                     alpha_grid, max_candidates)
+        assert len(result.tried) == len(builds)
+        for got, want in zip(result.tried, builds):
+            assert (got.p_min, got.alpha) == (want.p_min, want.alpha)
+            assert got.criterion_value == want.value
+            assert got.sse == want.sse
+            assert got.num_centers == want.num_centers
+            assert got.num_candidates == want.num_candidates
+            assert got.tree_depth == want.tree_depth
+            assert [(n.lower.tobytes(), n.upper.tobytes())
+                    for n in got.selected_nodes] == want.boxes
+        # The chosen entry is the first strict minimum in grid order.
+        assert result.info is result.tried[best]
+        want = builds[best]
+        assert result.network.weights.tobytes() == want.weights.tobytes()
+        assert result.network.centers.tobytes() == want.centers.tobytes()
+        assert result.network.radii.tobytes() == want.radii.tobytes()
+
+    @settings(max_examples=3, deadline=None)
+    @given(sample=st.builds(_smooth, st.integers(3, 200), st.integers(1, 9),
+                            st.integers(0, 2**32 - 1)))
+    @example(sample=_smooth(200, 9, 11))
+    @example(sample=_duplicated(60, 3, 4))
+    @example(sample=_constant(40, 4, 5, 2.5))
+    @example(sample=_constant(25, 2, 6, 0.0))
+    def test_grid_search_matches_naive_reference(self, sample):
+        """The whole default ``(p_min, alpha)`` grid, bit for bit: the
+        one-tree, alpha-scoped shared-cache search against one naive build
+        per grid point.  Above 128 points the 255-candidate cap binds (200
+        points grow a 399-node p_min=1 tree), so larger-p_min trees reach
+        nodes beyond it.  Zero constant responses make the empty subset
+        win and exercise the root-only fallback."""
+        self._assert_grid_matches_naive(*sample)
+
+    @pytest.mark.parametrize("p_min_grid,alpha_grid,max_candidates", [
+        ((3, 1, 2), (5.0, 1.5), 9),  # unsorted: the tree grows at p_min=1
+        ((2, 2, 8), (12.0,), 31),  # repeated p_min; the tree grows at 2
+    ])
+    def test_grid_search_matches_naive_reference_on_other_grids(
+            self, p_min_grid, alpha_grid, max_candidates):
+        self._assert_grid_matches_naive(*_smooth(70, 4, 9), p_min_grid,
+                                        alpha_grid, max_candidates)
+
+    def test_grid_search_matches_naive_reference_through_lstsq(self):
+        """The ridge keeps ``solve`` from raising on real samples, duplicate
+        points included, so a ``solve`` that refuses every Gram matrix of
+        size divisible by 3 drives the ``LinAlgError`` -> ``lstsq``
+        fallback for the same subsets in both paths."""
+        real_solve = np.linalg.solve
+
+        def refusing_solve(a, b):
+            if a.shape[0] % 3 == 0:
+                raise np.linalg.LinAlgError("refused")
+            return real_solve(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", refusing_solve)
+            self._assert_grid_matches_naive(*_duplicated(45, 3, 8))
 
 
 # ---------------------------------------------------------------------------
