@@ -1424,11 +1424,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         # batch collection would buffer an unbounded tree.
         return args.func(args)
     with obs.collecting() as collector:
-        with obs.span(f"repro/{args.command}"):
-            code = args.func(args)
-        obs.write_trace(collector, dest, header={"command": args.command})
-    print(f"[trace written to {dest}]")
-    return code
+        try:
+            with obs.span(f"repro/{args.command}"):
+                return args.func(args)
+        finally:
+            # A failed run keeps its trace; spans it left open carry the
+            # ``error`` attribute ``obs.span`` sets on the way out.
+            obs.write_trace(collector, dest, header={"command": args.command})
+            print(f"[trace written to {dest}]")
 
 
 if __name__ == "__main__":

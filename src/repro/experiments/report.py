@@ -10,17 +10,12 @@ shared runners (see :mod:`repro.obs.manifest`).
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 from repro import obs
+from repro.util.store import results_dir
 
-_RESULTS_ENV = "REPRO_RESULTS_DIR"
-
-
-def results_dir() -> Path:
-    """Directory for rendered experiment outputs."""
-    return Path(os.environ.get(_RESULTS_ENV, "results"))
+__all__ = ["emit", "results_dir"]
 
 
 def _exhibit_manifest(name: str) -> dict:

@@ -15,22 +15,17 @@ the parallel path is bitwise-identical to the serial one: the simulator is
 deterministic given (config, trace), and both paths run exactly the same
 code on exactly the same trace.
 
-The disk cache is safe under concurrent use: flushes are dirty-gated (a
-clean runner never rewrites the file), write through a unique pid-suffixed
-temp file with an atomic ``os.replace``, and merge-on-flush under an
-advisory file lock — the cache file is re-read and unioned with the
-in-memory entries, so two processes flushing the same file never silently
-drop each other's simulations.
+The disk cache is a :mod:`repro.util.store` JSON object: flushes are
+dirty-gated (a clean runner never rewrites the file) and merge under the
+store's lock, so concurrent runners keep each other's simulations.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,20 +33,16 @@ from repro import obs
 from repro.core.design_space import DesignSpace, paper_design_space
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.simulator import Simulator
+from repro.util import store
 from repro.workloads.spec2000 import DEFAULT_TRACE_LENGTH, get_trace
 
-_CACHE_ENV = "REPRO_CACHE_DIR"
 _JOBS_ENV = "REPRO_JOBS"
 
-#: Sentinel default for ``cache_dir``: "resolve :func:`default_cache_dir`
-#: at construction time".  A call expression in the parameter default would
-#: freeze ``$REPRO_CACHE_DIR`` at import time (lint rule API002).
+#: Sentinel default for ``cache_dir``: "resolve
+#: :func:`repro.util.store.cache_dir` at construction time".  A call
+#: expression in the parameter default would freeze ``$REPRO_CACHE_DIR``
+#: at import time (lint rule API002).
 _UNSET: Any = object()
-
-
-def default_cache_dir() -> Path:
-    """Cache directory: ``$REPRO_CACHE_DIR`` or ``.repro_cache`` in the CWD."""
-    return Path(os.environ.get(_CACHE_ENV, ".repro_cache"))
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -73,22 +64,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
-
-
-@contextmanager
-def _file_lock(path: Path) -> Iterator[None]:
-    """Advisory exclusive lock on ``path`` (best-effort without fcntl)."""
-    try:
-        import fcntl
-    except ImportError:  # non-POSIX: atomic replace alone is the fallback
-        yield
-        return
-    with open(path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
 
 
 def _summarize(result) -> Dict[str, float]:
@@ -143,6 +118,39 @@ def _worker_simulate(
     return key, _summarize(result), collector.payload()
 
 
+def _fan_out(
+    benchmark: str,
+    trace_length: int,
+    seed: int,
+    tasks: Iterable[Tuple[Any, Dict[str, int]]],
+    jobs: int,
+) -> Dict[Any, Dict[str, float]]:
+    """Simulate ``(key, config-kwargs)`` tasks; ``{key: summary}`` in task order.
+
+    With ``jobs > 1`` the tasks run on a process pool that builds the trace
+    once per worker, and under tracing each worker's spans and metrics are
+    adopted into the caller's open span, tagged ``worker: true``.  Otherwise
+    they run serially on one prepared trace.  Both paths run the same code
+    on the same trace, so they are bitwise-identical.
+    """
+    if jobs <= 1:
+        trace = get_trace(benchmark, trace_length, seed).prepare()
+        return {key: _summarize(Simulator(ProcessorConfig(**kwargs)).run(trace))
+                for key, kwargs in tasks}
+    collector = obs.current()
+    results = {}
+    with ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=_worker_init,
+        initargs=(benchmark, trace_length, seed, obs.enabled()),
+    ) as pool:
+        for key, summary, payload in pool.map(_worker_simulate, tasks):
+            results[key] = summary
+            if collector is not None:
+                collector.adopt(payload, attrs={"worker": True})
+    return results
+
+
 def simulate_configs(
     benchmark: str,
     configs: Sequence[ProcessorConfig],
@@ -164,25 +172,8 @@ def simulate_configs(
     tasks = [(index, config.as_dict()) for index, config in enumerate(configs)]
     with obs.span("simulate_configs", benchmark=benchmark,
                   configs=len(configs), jobs=jobs):
-        collector = obs.current()
-        if jobs > 1:
-            results = {}
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_worker_init,
-                initargs=(benchmark, trace_length, seed, obs.enabled()),
-            ) as pool:
-                for index, summary, payload in pool.map(_worker_simulate, tasks):
-                    results[index] = summary
-                    if collector is not None:
-                        collector.adopt(payload, attrs={"worker": True})
-        else:
-            trace = get_trace(benchmark, trace_length, seed).prepare()
-            results = {
-                index: _summarize(Simulator(ProcessorConfig(**kwargs)).run(trace))
-                for index, kwargs in tasks
-            }
-    return [results[index] for index in range(len(configs))]
+        results = _fan_out(benchmark, trace_length, seed, tasks, jobs)
+    return list(results.values())
 
 
 class SimulationRunner:
@@ -199,9 +190,10 @@ class SimulationRunner:
         Trace construction parameters (part of the cache key).
     cache_dir:
         Directory for the JSON result cache.  Defaults to
-        :func:`default_cache_dir`, resolved *at construction time* so a
-        ``REPRO_CACHE_DIR`` set after import is honoured; ``None``
-        disables disk caching (in-memory memoisation still applies).
+        :func:`repro.util.store.cache_dir`, resolved *at construction
+        time* so a ``REPRO_CACHE_DIR`` set after import is honoured;
+        ``None`` disables disk caching (in-memory memoisation still
+        applies).
     jobs:
         Worker processes for :meth:`metric` fan-out.  ``None`` consults
         ``$REPRO_JOBS`` and falls back to 1 (serial), so the default
@@ -231,7 +223,7 @@ class SimulationRunner:
         self._cache: Dict[str, Dict[str, float]] = {}
         self._cache_path: Optional[Path] = None
         if cache_dir is _UNSET:
-            cache_dir = default_cache_dir()
+            cache_dir = store.cache_dir()
         if cache_dir is not None:
             cache_dir = Path(cache_dir)
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -239,7 +231,7 @@ class SimulationRunner:
             # so editing a workload profile can never serve stale results.
             fp = self._trace_fingerprint()
             self._cache_path = cache_dir / f"{benchmark}-{trace_length}-{seed}-{fp}.json"
-            self._cache = self._read_disk()
+            self._cache = store.load_json(self._cache_path)
 
     # -- accounting --------------------------------------------------------
 
@@ -276,37 +268,15 @@ class SimulationRunner:
 
     # -- low-level --------------------------------------------------------
 
-    def _read_disk(self) -> Dict[str, Dict[str, float]]:
-        """Current on-disk cache contents ({} when missing or corrupt)."""
-        if self._cache_path is None or not self._cache_path.exists():
-            return {}
-        try:
-            loaded = json.loads(self._cache_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return {}
-        return loaded if isinstance(loaded, dict) else {}
-
     def _flush(self) -> None:
-        """Persist new entries: merge-on-flush under a lock, atomic replace.
+        """Merge unflushed entries into the disk cache (see the store).
 
         A no-op while the runner holds no unflushed entries, so cache-hit
-        workloads never rewrite (or even open) the file.  The merge re-reads
-        the file inside the lock and unions it with the in-memory entries,
-        so concurrent runners flushing the same cache file each keep the
-        other's simulations.
+        workloads never rewrite (or even open) the file.
         """
         if self._cache_path is None or not self._dirty:
             return
-        lock_path = self._cache_path.with_name(self._cache_path.name + ".lock")
-        with _file_lock(lock_path):
-            merged = self._read_disk()
-            merged.update(self._cache)
-            self._cache = merged
-            tmp = self._cache_path.with_name(
-                f"{self._cache_path.name}.{os.getpid()}.tmp"
-            )
-            tmp.write_text(json.dumps(merged, sort_keys=True))
-            os.replace(tmp, self._cache_path)
+        self._cache = store.merge_json(self._cache_path, self._cache)
         self._dirty = 0
 
     def result_at(self, point: Mapping[str, float]) -> Dict[str, float]:
@@ -330,36 +300,12 @@ class SimulationRunner:
         return dict(summary)
 
     def _simulate_batch(self, configs: Dict[str, Dict[str, int]]) -> None:
-        """Simulate the uncached configurations, fanning out when allowed.
-
-        Under tracing, each parallel worker records its simulations into a
-        local collector and ships the spans/metrics back through the pool
-        result tuple; the batch span below adopts them, so the parent's
-        trace shows per-worker simulation spans exactly like the serial
-        path shows in-process ones.
-        """
+        """Simulate the uncached configurations, fanning out when allowed."""
         workers = min(self.jobs, len(configs))
         with obs.span("simulate_batch", benchmark=self.benchmark,
                       simulations=len(configs), workers=workers):
-            collector = obs.current()
-            if workers > 1:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_worker_init,
-                    initargs=(self.benchmark, self.trace_length, self.seed,
-                              obs.enabled()),
-                ) as pool:
-                    for key, summary, payload in pool.map(
-                            _worker_simulate, configs.items()):
-                        self._cache[key] = summary
-                        if collector is not None:
-                            collector.adopt(payload, attrs={"worker": True})
-            else:
-                trace = get_trace(self.benchmark, self.trace_length, self.seed).prepare()
-                for key, kwargs in configs.items():
-                    self._cache[key] = _summarize(
-                        Simulator(ProcessorConfig(**kwargs)).run(trace)
-                    )
+            self._cache.update(_fan_out(self.benchmark, self.trace_length,
+                                        self.seed, configs.items(), workers))
         self._dirty += len(configs)
         self._count("simulations_run", len(configs))
 

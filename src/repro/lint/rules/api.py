@@ -9,7 +9,7 @@ exception type (or at minimum ``Exception``).
 
 API002 generalises the first half of that contract: *any* function call in
 a parameter default runs once, at import time.  A default like
-``cache_dir=default_cache_dir()`` freezes whatever the environment said at
+``cache_dir=store.cache_dir()`` freezes whatever the environment said at
 import, so ``REPRO_CACHE_DIR`` set afterwards is silently ignored — the
 exact bug class fixed in ``experiments/runner.py``.  Default to ``None``
 (or a module-level sentinel) and resolve inside the function.

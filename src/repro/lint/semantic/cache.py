@@ -11,8 +11,9 @@ The cache is one JSON document::
 keyed by repo-relative path with the file's source hash alongside, so a
 stale entry can never be replayed for edited content.  A version or
 extractor mismatch drops the whole cache.  Writes are atomic
-(temp file + ``os.replace``) and merge-update: entries for paths outside
-the current lint set are pruned so the file tracks the linted tree.
+(:func:`repro.util.store.write_atomic`) and merge-update: entries for
+paths outside the current lint set are pruned so the file tracks the
+linted tree.
 
 The default location is ``$REPRO_CACHE_DIR`` (or ``.repro_cache/``)
 ``/lint-facts.json`` — the same root the simulation cache uses, already
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
+from pathlib import Path
 from typing import Dict, Optional
 
 from repro.lint.semantic.summary import EXTRACTOR_VERSION, ModuleSummary
+from repro.util import store
 
 #: Schema version of the cache document itself.
 CACHE_VERSION = 1
@@ -38,8 +39,7 @@ FACT_CACHE_NAME = "lint-facts.json"
 
 def default_fact_cache_path() -> str:
     """Default on-disk location, honouring ``$REPRO_CACHE_DIR``."""
-    root = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    return os.path.join(root, FACT_CACHE_NAME)
+    return str(store.cache_dir() / FACT_CACHE_NAME)
 
 
 def source_hash(source: str) -> str:
@@ -101,13 +101,9 @@ class FactCache:
             "extractor": EXTRACTOR_VERSION,
             "files": self._entries,
         }
-        directory = os.path.dirname(self.path) or "."
+        path = Path(self.path)
         try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=directory, prefix=".lint-facts-", suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, separators=(",", ":"))
-            os.replace(tmp, self.path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            store.write_atomic(path, json.dumps(doc, separators=(",", ":")))
         except OSError:
             pass

@@ -7,11 +7,10 @@ registers its fit under a *content address* (a short SHA-256 of the
 model's canonical JSON encoding), keyed by benchmark × family × sample
 size × git SHA × design-space hash, together with its model card
 (:mod:`repro.obs.modelcard`).  Registrations append to a JSONL index
-under the same advisory-flock + atomic-replace discipline as the
-simulation cache and run ledger, so concurrent builds never clobber each
-other; each ``(benchmark, family, sample_size)`` lineage gets a
-monotonically increasing version number, which is what ``repro models
-check`` walks to find a fresh fit's predecessor.
+through :func:`repro.util.store.append_jsonl`; each ``(benchmark, family,
+sample_size)`` lineage gets a monotonically increasing version number,
+which is what ``repro models check`` walks to find a fresh fit's
+predecessor.
 
 Layout under ``results/models`` (honouring ``$REPRO_RESULTS_DIR``)::
 
@@ -28,18 +27,17 @@ refit fails CI even when its headline training error looks fine.
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.models.base import Model
 from repro.models.io import encode_model, load_model, model_family, save_model
 from repro.obs.modelcard import read_card, write_card
+from repro.util import store
 from repro.util.rng import make_rng
 
 #: Registry index record schema version.
@@ -56,33 +54,9 @@ PROBE_SEED = 2006
 #: Default MAD-style drift tolerance for ``repro models check``.
 DRIFT_TOLERANCE = 0.5
 
-_RESULTS_ENV = "REPRO_RESULTS_DIR"
-
-
 def default_registry_root() -> Path:
     """``results/models``, honouring ``$REPRO_RESULTS_DIR``."""
-    return Path(os.environ.get(_RESULTS_ENV, "results")) / "models"
-
-
-@contextmanager
-def _file_lock(path: Path) -> Iterator[None]:
-    """Advisory exclusive lock on ``path`` (best-effort without fcntl).
-
-    The cache/ledger discipline restated for the registry: on platforms
-    without ``fcntl`` the atomic replace alone still keeps the index
-    uncorrupted, merely allowing a concurrent append to need a retry.
-    """
-    try:
-        import fcntl
-    except ImportError:  # non-POSIX fallback
-        yield
-        return
-    with open(path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
+    return store.results_dir() / "models"
 
 
 def content_hash(model: Model) -> str:
@@ -196,26 +170,19 @@ class ModelRegistry:
         """
         if not self.index_path.exists():
             return []
+        records, _ = store.read_jsonl(self.index_path)
         out: List[RegistryEntry] = []
-        with open(self.index_path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(record, dict) or "sha" not in record:
-                    continue
-                entry = RegistryEntry.from_record(record)
-                if benchmark is not None and entry.benchmark != benchmark:
-                    continue
-                if family is not None and entry.family != family:
-                    continue
-                if sample_size is not None and entry.sample_size != sample_size:
-                    continue
-                out.append(entry)
+        for record in records:
+            if "sha" not in record:
+                continue
+            entry = RegistryEntry.from_record(record)
+            if benchmark is not None and entry.benchmark != benchmark:
+                continue
+            if family is not None and entry.family != family:
+                continue
+            if sample_size is not None and entry.sample_size != sample_size:
+                continue
+            out.append(entry)
         return out
 
     def latest(
@@ -295,12 +262,12 @@ class ModelRegistry:
         """Register a fitted model; returns the new index entry.
 
         Writes the artifact (via :func:`repro.models.io.save_model`) and
-        the card, then appends the index record under the flock+atomic
-        discipline; the lineage version is assigned *inside* the lock so
-        concurrent registrations of the same lineage get distinct
-        versions.  ``now`` is the recorded creation timestamp — injectable
-        so the whole registration is byte-deterministic under a pinned
-        clock; ``None`` records null rather than reading the real clock.
+        the card, then appends the index record through the store; the
+        lineage version is assigned *inside* the lock so concurrent
+        registrations of the same lineage get distinct versions.  ``now``
+        is the recorded creation timestamp — injectable so the whole
+        registration is byte-deterministic under a pinned clock; ``None``
+        records null rather than reading the real clock.
         Registering is observation only: it never mutates the model.
         """
         sha = content_hash(model)
@@ -314,24 +281,13 @@ class ModelRegistry:
         if card is not None:
             write_card(card, self.root / card_rel)
 
-        lock_path = self.index_path.with_name(self.index_path.name + ".lock")
-        with _file_lock(lock_path):
-            existing = (self.index_path.read_text(encoding="utf-8")
-                        if self.index_path.exists() else "")
-            if existing and not existing.endswith("\n"):
-                existing += "\n"
-            version = 1
-            for line in existing.splitlines():
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if (isinstance(record, dict)
-                        and record.get("benchmark") == benchmark
-                        and record.get("family") == family
-                        and record.get("sample_size") == sample_size):
-                    version = max(version, int(record.get("version", 0)) + 1)
-            entry = RegistryEntry(
+        def build(records: List[Dict[str, Any]]) -> Dict[str, Any]:
+            version = max([1] + [
+                int(r.get("version", 0)) + 1 for r in records
+                if (r.get("benchmark"), r.get("family"), r.get("sample_size"))
+                == (benchmark, family, sample_size)
+            ])
+            return RegistryEntry(
                 sha=sha,
                 family=family,
                 benchmark=benchmark,
@@ -344,13 +300,10 @@ class ModelRegistry:
                 artifact=artifact_rel,
                 card=card_rel,
                 mean_error_pct=mean_error_pct,
-            )
-            line = json.dumps(entry.as_record(), sort_keys=True)
-            tmp = self.index_path.with_name(
-                f"{self.index_path.name}.{os.getpid()}.tmp")
-            tmp.write_text(existing + line + "\n", encoding="utf-8")
-            os.replace(tmp, self.index_path)
-        return entry
+            ).as_record()
+
+        return RegistryEntry.from_record(
+            store.append_jsonl(self.index_path, build))
 
     @staticmethod
     def _ensure_parent(path: Path) -> Path:

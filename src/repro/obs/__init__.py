@@ -7,8 +7,9 @@ A dependency-free layer of five pieces:
   timed, attributed regions against an injectable monotonic clock;
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges and
   histograms with exact cross-process merge;
-* **sinks** (:mod:`repro.obs.sinks`) — an in-memory :class:`Collector`,
-  a JSONL event log, and the tree/table summary behind
+* **sinks** (:mod:`repro.obs.sinks`) — the one JSONL trace writer
+  (``StreamingTraceSink``, which :func:`write_trace` drives for an
+  in-memory :class:`Collector`) and the tree/table summary behind
   ``repro trace summary``;
 * **run manifests** (:mod:`repro.obs.manifest`) — the provenance record
   (seed, design-space hash, git SHA, version, cost, metric totals)

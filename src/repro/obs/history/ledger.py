@@ -9,27 +9,21 @@ every rendered exhibit appends exactly one schema-versioned record to
 fields, the run's headline accuracy numbers, metric totals, the perf-gate
 outcome when one ran, and the path of the recorded trace (when tracing).
 
-Appends use the same discipline as the simulation disk cache: an advisory
-``flock`` on a sidecar lock file around a read → rewrite → atomic
-``os.replace`` cycle, so concurrent runners never clobber or interleave
-each other's records (and a torn trailing line from a killed writer is
-healed on the next append).  Reads are lenient by default — an
-unparseable line is counted and skipped, never fatal — because a ledger
-that refuses to load after one bad shutdown defeats its purpose.
+Appends and reads go through :mod:`repro.util.store` (locked JSONL
+append, lenient read): an unparseable line is counted and skipped, never
+fatal, because a ledger that refuses to load after one bad shutdown
+defeats its purpose.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
+from repro.util import store
+
 #: Ledger record schema version.
 HISTORY_SCHEMA_VERSION = 1
-
-_RESULTS_ENV = "REPRO_RESULTS_DIR"
 
 #: Manifest fields copied verbatim into a history record when non-``None``.
 #: ``python_version``/``numpy_version`` arrived with the model registry;
@@ -67,34 +61,8 @@ COUNTER_FIELDS = ("simulations_run", "cache_hits")
 
 
 def default_history_path() -> Path:
-    """``results/history/runs.jsonl``, honouring ``$REPRO_RESULTS_DIR``.
-
-    Mirrors :func:`repro.experiments.report.results_dir` without importing
-    it — the obs layer stays free of the experiment stack.
-    """
-    return (Path(os.environ.get(_RESULTS_ENV, "results"))
-            / "history" / "runs.jsonl")
-
-
-@contextmanager
-def _file_lock(path: Path) -> Iterator[None]:
-    """Advisory exclusive lock on ``path`` (best-effort without fcntl).
-
-    The same discipline as the simulation cache's flush lock: on platforms
-    without ``fcntl`` the atomic replace alone still guarantees the file is
-    never corrupted, merely that a concurrent append may need retrying.
-    """
-    try:
-        import fcntl
-    except ImportError:  # non-POSIX fallback
-        yield
-        return
-    with open(path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
+    """``results/history/runs.jsonl``, honouring ``$REPRO_RESULTS_DIR``."""
+    return store.results_dir() / "history" / "runs.jsonl"
 
 
 def record_from_manifest(
@@ -139,23 +107,12 @@ def append_run(record: Mapping[str, Any],
                path: Optional[Union[str, Path]] = None) -> Path:
     """Append one record to the ledger; returns the ledger path.
 
-    Safe under concurrent writers: the whole read → append → atomic-replace
-    cycle runs under an advisory lock on a sidecar ``.lock`` file, so two
-    processes appending simultaneously both land in the file.  A torn
-    trailing line left by a previously killed writer is completed with a
-    newline rather than corrupting the next record.
+    Safe under concurrent writers, and a torn trailing line left by a
+    killed writer is completed with a newline rather than corrupting the
+    next record (see :func:`repro.util.store.append_jsonl`).
     """
     path = Path(path) if path is not None else default_history_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(dict(record), sort_keys=True)
-    lock_path = path.with_name(path.name + ".lock")
-    with _file_lock(lock_path):
-        existing = path.read_text(encoding="utf-8") if path.exists() else ""
-        if existing and not existing.endswith("\n"):
-            existing += "\n"
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(existing + line + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+    store.append_jsonl(path, lambda _records: record)
     return path
 
 
@@ -169,23 +126,7 @@ def load_runs(
     are skipped and counted, matching the lenient trace-read convention.
     """
     path = Path(path) if path is not None else default_history_path()
-    runs: List[Dict[str, Any]] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if isinstance(record, dict):
-                runs.append(record)
-            else:
-                skipped += 1
-    return runs, skipped
+    return store.read_jsonl(path)
 
 
 def iter_runs(

@@ -28,9 +28,10 @@ handlers precisely because this package owns them.
 """
 
 from repro.obs.live.access import AccessLog
-from repro.obs.live.stream import LiveCollector, StreamingTraceSink
+from repro.obs.live.stream import LiveCollector
 from repro.obs.live.window import MetricsWindow
 from repro.obs.manifest import snapshot_manifest
+from repro.obs.sinks import StreamingTraceSink
 
 __all__ = [
     "AccessLog",

@@ -13,6 +13,22 @@ The JSONL schema (``version`` 1) is one JSON object per line:
 * ``{"type": "metrics", "counters": ..., "gauges": ..., "histograms":
   ...}`` — final metric totals, last line.
 
+Every trace is written by :class:`StreamingTraceSink`: ``repro serve``
+streams each request's span tree as it closes
+(:class:`repro.obs.live.LiveCollector`), and :func:`write_trace` streams
+a finished collector with rotation off.  Emitting whole subtrees keeps
+the parent-precedes-child invariant that an append-per-span stream would
+violate (children close first), and makes every line boundary a
+consistent read point: a reader at any moment sees only complete spans,
+and a writer killed mid-record leaves at most one torn final line, which
+``read_trace(strict=False)`` skips and counts.
+
+Rotation is size-based and happens only between emissions, never inside
+one: when the active file exceeds ``max_bytes`` it is sealed with a
+metrics line (so each segment is a complete, independently readable
+trace) and renamed to ``<stem>.NNN<suffix>``; a fresh header opens the
+next segment at the original path.
+
 :func:`read_trace` round-trips the file back into span trees;
 :func:`render_summary` renders the tree with per-name call counts and
 cumulative/self times, which is what ``repro trace summary`` prints.
@@ -22,7 +38,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.tracing import Collector, SpanNode
 
@@ -57,50 +73,146 @@ class TraceData:
         )
 
 
-def _span_events(node: SpanNode, origin: float, parent_id: Optional[int],
-                 counter: List[int], out: List[Dict[str, Any]]) -> None:
-    """Flatten one span tree into JSONL span events (depth-first)."""
-    span_id = counter[0]
-    counter[0] += 1
-    out.append({
-        "type": "span",
-        "id": span_id,
-        "parent": parent_id,
-        "name": node.name,
-        "offset": round(node.start - origin, 9),
-        "dur": round(node.duration, 9),
-        "attrs": node.attrs,
-    })
-    for child in node.children:
-        _span_events(child, origin, span_id, counter, out)
+class StreamingTraceSink:
+    """Appends completed span trees to a JSONL trace file as they close.
+
+    Parameters
+    ----------
+    path:
+        The active trace file.  Rotated segments land next to it as
+        ``<stem>.001<suffix>``, ``<stem>.002<suffix>``, …
+    header:
+        Extra header fields merged into the ``{"type": "trace"}`` first
+        line (e.g. the command name).
+    max_bytes:
+        Rotate when the active file exceeds this size after an emission;
+        ``None`` (default) never rotates.
+    metrics_snapshot:
+        Zero-argument callable returning a metrics snapshot dict; called
+        for the final ``{"type": "metrics"}`` line of each sealed segment
+        and of the active file at :meth:`close`.
+    """
+
+    def __init__(
+        self,
+        path: Union[str, Path],
+        header: Optional[Mapping[str, Any]] = None,
+        max_bytes: Optional[int] = None,
+        metrics_snapshot: Optional[Callable[[], Mapping[str, Any]]] = None,
+    ):
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._header = dict(header) if header else {}
+        self.max_bytes = max_bytes
+        self._metrics_snapshot = metrics_snapshot
+        self.rotations: List[Path] = []
+        self.spans_emitted = 0
+        self._counter = 0  # span ids, per segment
+        self._fh = None
+        self._open_segment()
+
+    # -- segment lifecycle -------------------------------------------------
+
+    def _open_segment(self) -> None:
+        head: Dict[str, Any] = {"type": "trace",
+                                "version": TRACE_SCHEMA_VERSION}
+        head.update(self._header)
+        self._counter = 0
+        self._fh = open(self.path, "w", encoding="utf-8")
+        self._write_line(head)
+
+    def _write_line(self, event: Mapping[str, Any]) -> None:
+        assert self._fh is not None, "sink is closed"
+        self._fh.write(json.dumps(dict(event), sort_keys=True) + "\n")
+        self._fh.flush()
+
+    def _seal(self) -> None:
+        """Write the final metrics line and close the active handle."""
+        metrics: Dict[str, Any] = {"type": "metrics"}
+        if self._metrics_snapshot is not None:
+            metrics.update(self._metrics_snapshot())
+        self._write_line(metrics)
+        self._fh.close()
+        self._fh = None
+
+    def _rotate(self) -> None:
+        self._seal()
+        rotated = self.path.with_name(
+            f"{self.path.stem}.{len(self.rotations) + 1:03d}{self.path.suffix}"
+        )
+        self.path.replace(rotated)
+        self.rotations.append(rotated)
+        self._open_segment()
+
+    # -- emission ----------------------------------------------------------
+
+    def emit(self, root: SpanNode, origin: float = 0.0) -> None:
+        """Append ``root``'s whole subtree (depth-first) to the trace.
+
+        ``origin`` is the owning collector's trace origin; offsets are
+        recorded relative to it.  Rotation, when due, happens after the
+        subtree is fully written, so no span is ever split across
+        segments.
+        """
+        stack = [(root, None)]
+        while stack:
+            node, parent_id = stack.pop()
+            span_id = self._counter
+            self._counter += 1
+            self._write_line({
+                "type": "span",
+                "id": span_id,
+                "parent": parent_id,
+                "name": node.name,
+                "offset": round(node.start - origin, 9),
+                "dur": round(node.duration, 9),
+                "attrs": node.attrs,
+            })
+            self.spans_emitted += 1
+            for child in reversed(node.children):
+                stack.append((child, span_id))
+        if self.max_bytes is not None and self._fh.tell() > self.max_bytes:
+            self._rotate()
+
+    def emit_event(self, event: Mapping[str, Any]) -> None:
+        """Append one structured event (e.g. a failure) to the trace."""
+        self._write_line(event)
+
+    def close(self) -> None:
+        """Seal the active segment; the sink cannot emit afterwards."""
+        if self._fh is not None:
+            self._seal()
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` (or a failed open) retired the sink."""
+        return self._fh is None
+
+    def __enter__(self) -> "StreamingTraceSink":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
 
 def write_trace(collector: Collector, path: Union[str, Path],
                 header: Optional[Mapping[str, Any]] = None) -> Path:
     """Write the collector's content as a JSONL trace file.
 
-    Adopted worker spans carry clock readings from their own process;
-    their offsets are relative to the *worker's* trace origin, so only
-    durations are comparable across processes (the summary renderer uses
-    durations exclusively).
+    The collector's closed roots, then its events, stream through a
+    :class:`StreamingTraceSink` with rotation off.  Adopted worker spans
+    carry clock readings from their own process; their offsets are
+    relative to the *worker's* trace origin, so only durations are
+    comparable across processes (the summary renderer uses durations
+    exclusively).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    head: Dict[str, Any] = {"type": "trace", "version": TRACE_SCHEMA_VERSION}
-    if header:
-        head.update(header)
-    events: List[Dict[str, Any]] = [head]
-    counter = [0]
-    for root in collector.roots:
-        _span_events(root, collector.origin, None, counter, events)
-    events.extend(dict(e) for e in collector.events)
-    metrics: Dict[str, Any] = {"type": "metrics"}
-    metrics.update(collector.metrics.snapshot())
-    events.append(metrics)
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-    return path
+    with StreamingTraceSink(path, header=header,
+                            metrics_snapshot=collector.metrics.snapshot) as sink:
+        for root in collector.roots:
+            sink.emit(root, collector.origin)
+        for event in collector.events:
+            sink.emit_event(event)
+    return sink.path
 
 
 def read_trace(path: Union[str, Path], strict: bool = True) -> TraceData:

@@ -11,10 +11,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from repro.simulator.batchmem import resolve_lru_batch
-
 
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
@@ -140,31 +136,6 @@ class Cache:
         if dirty is not None and write:
             dirty.add(tag)
         return True
-
-    def access_batch(self, addrs: np.ndarray) -> np.ndarray:
-        """Read-access a whole address stream; returns the boolean hit mask.
-
-        Bitwise-identical to calling :meth:`access` once per address in
-        order — same hits, same victims, same final LRU state, same
-        counters.  The vectorised resolver only covers plain LRU without
-        dirty-line tracking; other configurations take the scalar oracle
-        path element by element.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        n = len(addrs)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if self.policy != "lru" or self.track_dirty:
-            hits = np.empty(n, dtype=bool)
-            for i, addr in enumerate(addrs.tolist()):
-                hits[i] = self.access(addr)
-            return hits
-        lines = addrs >> self.line_bits
-        set_idx = lines & (self.num_sets - 1)
-        hits = resolve_lru_batch(self._sets, self.assoc, lines, set_idx)
-        self.accesses += n
-        self.misses += int(n - hits.sum())
-        return hits
 
     def _victim_index(self, occupancy: int) -> int:
         """Index of the way to evict under the configured policy."""

@@ -23,8 +23,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.simulator.cache import Cache
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.dram import DRAM
@@ -163,65 +161,6 @@ class MemoryHierarchy:
             return time + self.config.dl1_lat
         self._drain_writeback(self.dl1, time)
         return self._l2_access(addr, time + self.config.dl1_lat)
-
-    def load_batch(self, addrs: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Data loads for a whole address stream; returns data-ready times.
-
-        Bitwise-identical to calling :meth:`load` once per ``(addr, time)``
-        pair in order.  The L1/L2 hit/miss outcome of a plain-LRU cache
-        does not depend on access *times*, only on the address order, so
-        both levels are resolved with the batched LRU engine and only the
-        L2 misses — whose latency flows through the time-dependent memory
-        controller, DRAM and MSHR state — are replayed scalar, in the same
-        global order the scalar loop would issue them.
-
-        Configurations with time-coupled lookups (stride prefetch, dirty
-        writebacks) or non-LRU policies fall back to the scalar oracle.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        times = np.asarray(times, dtype=float)
-        if addrs.shape != times.shape or addrs.ndim != 1:
-            raise ValueError("addrs and times must be matching 1-D arrays")
-        n = len(addrs)
-        if n == 0:
-            return np.zeros(0)
-        if (
-            self.stride is not None
-            or self.config.writeback
-            or self.dl1.policy != "lru"
-            or self.l2.policy != "lru"
-        ):
-            return self._load_batch_oracle(addrs, times)
-        if self.dtlb is not None:
-            times = times + self.dtlb.access_batch(addrs)
-        dl1_lat = self.config.dl1_lat
-        out = np.empty(n)
-        dl1_hit = self.dl1.access_batch(addrs)
-        out[dl1_hit] = times[dl1_hit] + dl1_lat
-        miss = np.flatnonzero(~dl1_hit)
-        if miss.size:
-            l2_lat = self.config.l2_lat
-            miss_addrs = addrs[miss]
-            l2_times = times[miss] + dl1_lat
-            l2_hit = self.l2.access_batch(miss_addrs)
-            out[miss[l2_hit]] = l2_times[l2_hit] + l2_lat
-            fill = np.flatnonzero(~l2_hit)
-            if fill.size:
-                fills = np.empty(fill.size)
-                fill_times = (l2_times[fill] + l2_lat).tolist()
-                for j, (addr, t) in enumerate(
-                    zip(miss_addrs[fill].tolist(), fill_times)
-                ):
-                    fills[j] = self._l2_fill(addr, t)
-                out[miss[fill]] = fills
-        return out
-
-    def _load_batch_oracle(self, addrs: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Per-element reference path for :meth:`load_batch`."""
-        out = np.empty(len(addrs))
-        for i, (addr, t) in enumerate(zip(addrs.tolist(), times.tolist())):
-            out[i] = self.load(addr, t)
-        return out
 
     def store(self, addr: int, time: float, pc: int = 0) -> float:
         """Data store performed at ``time`` (post-commit, write-allocate).

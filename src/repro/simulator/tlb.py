@@ -11,10 +11,6 @@ identical to the paper's.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.simulator.batchmem import resolve_lru_batch
-
 
 class TLB:
     """Fully associative TLB with LRU replacement.
@@ -60,29 +56,6 @@ class TLB:
             return self.walk_latency
         lru.append(page)
         return 0
-
-    def access_batch(self, addrs: np.ndarray) -> np.ndarray:
-        """Translate a whole address stream; returns per-access latencies.
-
-        Bitwise-identical to calling :meth:`access` per address in order:
-        a fully associative TLB is one LRU set, so the batch resolver is
-        run with a single set of ``entries`` ways.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        n = len(addrs)
-        if n == 0:
-            return np.zeros(0)
-        pages = addrs >> self.page_bits
-        store = [self._lru]
-        hits = resolve_lru_batch(
-            store, self.entries, pages, np.zeros(n, dtype=np.int64)
-        )
-        self._lru = store[0]
-        self.accesses += n
-        self.misses += int(n - hits.sum())
-        latency = np.zeros(n)
-        latency[~hits] = self.walk_latency
-        return latency
 
     @property
     def miss_rate(self) -> float:

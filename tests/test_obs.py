@@ -8,6 +8,7 @@ changes *nothing* about the numbers (traced and untraced runs are
 bitwise-identical).
 """
 
+import hashlib
 import json
 import multiprocessing
 import sys
@@ -265,6 +266,42 @@ class TestSinks:
         for s in spans:
             assert s["parent"] is None or s["parent"] in ids
 
+    def test_write_trace_bytes_pinned(self, tmp_path):
+        # The trace file is a contract (``trace diff``, the ledger's trace
+        # paths, uploaded CI artifacts): pin its exact bytes for a
+        # collector exercising every line type — nested spans over two
+        # roots, adopted worker spans, a failure event, counters, a gauge
+        # and histograms.
+        with obs.collecting(clock=FakeClock(0.25)) as worker:
+            with obs.span("simulate", benchmark="mcf", rob_size=64):
+                with obs.span("simulate/core"):
+                    pass
+            obs.inc("simulations_run", 1)
+            obs.observe("simulate/wall_s", 0.75)
+        payload = worker.payload()
+        with obs.collecting(clock=FakeClock()) as collector:
+            with obs.span("repro/build", command="build"):
+                with obs.span("sample", points=8):
+                    pass
+                with obs.span("simulate_batch", simulations=2, workers=2):
+                    collector.adopt(payload, attrs={"worker": True})
+                    collector.adopt(payload, attrs={"worker": True})
+                with obs.span("fit", p_min=2):
+                    obs.record_failure("fit", ValueError("singular"),
+                                       centers=4)
+            with obs.span("validate"):
+                pass
+            obs.inc("cache_hits", 3)
+            obs.set_gauge("jobs", 2)
+            for value in (0.5, 1.5, 2.5):
+                obs.observe("runner/metric_wall_s", value)
+        path = obs.write_trace(collector, tmp_path / "trace.jsonl",
+                               header={"command": "build",
+                                       "argv": ["build", "mcf"]})
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == ("d6ae763be6e43ee9de051938cf91e78e"
+                          "8f3f7f2f1de20f652dad18a6b74faf1f")
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "trace", "version": 1}\nnot json\n')
@@ -403,6 +440,28 @@ class TestManifest:
         names = {s.name for root in trace.roots for s in root.walk()}
         assert {"repro/build", "build", "sample", "simulate", "fit",
                 "validate"} <= names
+
+    def test_failed_build_still_writes_its_trace(self, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+
+        def diverge(*args, **kwargs):
+            raise RuntimeError("fit diverged")
+
+        monkeypatch.setattr("repro.core.procedure.search_rbf_model", diverge)
+        with pytest.raises(RuntimeError, match="fit diverged"):
+            cli_main(["build", "--benchmark", "mcf", "--sample-size", "10",
+                      "--test-points", "4", "--trace-length", "1024",
+                      "--trace"])
+        path = tmp_path / "results" / "trace-build.jsonl"
+        assert f"[trace written to {path}]" in capsys.readouterr().out
+        (root,) = obs.read_trace(path).roots
+        assert root.name == "repro/build"
+        assert root.attrs["error"] == "RuntimeError"
+        fit = [s for s in root.walk() if s.name == "fit"]
+        assert fit and all(s.attrs["error"] == "RuntimeError" for s in fit)
 
     def test_version_flag_matches_package_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

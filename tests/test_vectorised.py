@@ -1,12 +1,11 @@
 """Vectorised ≡ scalar equivalence suite.
 
-The vectorisation contract (docs/performance.md): every batched hot path
-must be *bitwise-identical* to its scalar oracle — same hits, same
-victims, same latencies, same final state — so that CPI numbers, bench
-work-metadata hashes and experiment goldens are untouched by speed work.
-These tests pin that contract with property-style comparisons against
-per-element references, plus a literal bitwise CPI pin across all eight
-SPEC profiles.
+The vectorisation contract (docs/performance.md): every optimised hot
+path must be *bitwise-identical* to its reference, so that CPI numbers,
+bench work-metadata hashes and experiment goldens are untouched by speed
+work.  These tests pin that contract for the MSHR fill table and the RBF
+selection with comparisons against naive references, plus a literal
+bitwise CPI pin across all eight SPEC profiles.
 """
 
 from types import SimpleNamespace
@@ -16,185 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.cache import Cache
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.hierarchy import MemoryHierarchy
-from repro.simulator.tlb import TLB
-
-# ---------------------------------------------------------------------------
-# Cache.access_batch vs scalar Cache.access
-# ---------------------------------------------------------------------------
-
-
-def _scalar_cache_hits(cache, addrs):
-    return np.array([cache.access(int(a)) for a in addrs])
-
-
-CACHE_GEOMETRIES = [
-    # (size_kb, line_size, assoc) — direct-mapped, single-set, typical L1/L2
-    (1, 64, 1),
-    (1, 64, 16),
-    (8, 64, 2),
-    (32, 64, 4),
-    (256, 128, 8),
-]
-
-
-class TestCacheBatch:
-    @pytest.mark.parametrize("size_kb,line,assoc", CACHE_GEOMETRIES)
-    def test_matches_scalar_on_random_stream(self, size_kb, line, assoc):
-        rng = np.random.default_rng(hash((size_kb, line, assoc)) % (2**32))
-        # Working set around 2x capacity: plenty of hits, misses, evictions.
-        lines = 2 * (size_kb * 1024 // line)
-        addrs = rng.integers(0, lines, size=5000) * line
-        a = Cache(size_kb, line, assoc, "a")
-        b = Cache(size_kb, line, assoc, "b")
-        scalar = _scalar_cache_hits(a, addrs)
-        batch = b.access_batch(addrs)
-        np.testing.assert_array_equal(scalar, batch)
-        assert a._sets == b._sets  # identical membership AND LRU order
-        assert (a.accesses, a.misses) == (b.accesses, b.misses)
-
-    def test_matches_scalar_on_adversarial_single_set(self):
-        # Every access maps to set 0 and thrashes it: worst case for the
-        # round loop (one resolved miss per round) and for the bail path.
-        cache_a = Cache(1, 64, 2, "a")
-        cache_b = Cache(1, 64, 2, "b")
-        rng = np.random.default_rng(0)
-        num_sets = cache_a.num_sets
-        addrs = rng.integers(0, 8, size=3000) * num_sets * 64
-        scalar = _scalar_cache_hits(cache_a, addrs)
-        batch = cache_b.access_batch(addrs)
-        np.testing.assert_array_equal(scalar, batch)
-        assert cache_a._sets == cache_b._sets
-
-    @pytest.mark.parametrize("policy", ["fifo", "random"])
-    def test_non_lru_policies_fall_back_to_oracle(self, policy):
-        rng = np.random.default_rng(5)
-        addrs = rng.integers(0, 64, size=2000) * 64
-        a = Cache(1, 64, 4, "a", policy=policy)
-        b = Cache(1, 64, 4, "b", policy=policy)
-        scalar = _scalar_cache_hits(a, addrs)
-        batch = b.access_batch(addrs)
-        np.testing.assert_array_equal(scalar, batch)
-        assert a._sets == b._sets
-        assert a._victim_state == b._victim_state
-
-    def test_interleaves_with_scalar_accesses(self):
-        # Batch → scalar → batch must behave like one scalar stream.
-        rng = np.random.default_rng(9)
-        stream = rng.integers(0, 512, size=3000) * 64
-        a = Cache(4, 64, 4, "a")
-        b = Cache(4, 64, 4, "b")
-        expect = _scalar_cache_hits(a, stream)
-        got = np.concatenate([
-            b.access_batch(stream[:1000]),
-            _scalar_cache_hits(b, stream[1000:1100]),
-            b.access_batch(stream[1100:]),
-        ])
-        np.testing.assert_array_equal(expect, got)
-        assert a._sets == b._sets
-
-    def test_empty_batch(self):
-        cache = Cache(1, 64, 2)
-        assert cache.access_batch(np.zeros(0, dtype=np.int64)).shape == (0,)
-        assert cache.accesses == 0
-
-
-class TestTLBBatch:
-    def test_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        addrs = rng.integers(0, 200, size=4000) << 12
-        a, b = TLB(entries=64), TLB(entries=64)
-        scalar = np.array([a.access(int(x)) for x in addrs], dtype=float)
-        batch = b.access_batch(addrs)
-        np.testing.assert_array_equal(scalar, batch)
-        assert a._lru == b._lru
-        assert (a.accesses, a.misses) == (b.accesses, b.misses)
-
-    def test_single_entry_tlb(self):
-        addrs = np.array([0, 1 << 12, 0, 0, 1 << 12], dtype=np.int64)
-        a, b = TLB(entries=1), TLB(entries=1)
-        scalar = np.array([a.access(int(x)) for x in addrs], dtype=float)
-        np.testing.assert_array_equal(scalar, b.access_batch(addrs))
-        assert a._lru == b._lru
-
-
-# ---------------------------------------------------------------------------
-# MemoryHierarchy.load_batch vs scalar load loop
-# ---------------------------------------------------------------------------
-
-
-def _mixed_stream(n, seed, hot_lines=1 << 10, cold_frac=0.2):
-    rng = np.random.default_rng(seed)
-    hot = rng.integers(0, hot_lines, size=n) << 6
-    cold = (rng.integers(0, 1 << 22, size=n) << 6) | (1 << 33)
-    return np.where(rng.random(n) < cold_frac, cold, hot)
-
-
-def _scalar_loads(hier, addrs, times):
-    return np.array(
-        [hier.load(a, t) for a, t in zip(addrs.tolist(), times.tolist())]
-    )
-
-
-HIER_CONFIGS = [
-    pytest.param(ProcessorConfig(), id="default"),
-    pytest.param(ProcessorConfig(enable_tlb=True), id="tlb"),
-    pytest.param(
-        ProcessorConfig(dl1_size_kb=1, dl1_assoc=1, l2_size_kb=16), id="tiny"
-    ),
-    pytest.param(ProcessorConfig(l2_lat=20, dl1_lat=4), id="slow"),
-    # These two must take the scalar-oracle fallback (time-coupled state).
-    pytest.param(ProcessorConfig(writeback=True), id="writeback-fallback"),
-    pytest.param(
-        ProcessorConfig(enable_stride_prefetch=True), id="stride-fallback"
-    ),
-]
-
-
-class TestHierarchyBatch:
-    @pytest.mark.parametrize("config", HIER_CONFIGS)
-    def test_bitwise_latencies_stats_and_state(self, config):
-        addrs = _mixed_stream(4000, seed=17)
-        times = np.cumsum(np.ones(4000)) - 1.0
-        h_scalar = MemoryHierarchy(config)
-        h_batch = MemoryHierarchy(config)
-        expect = _scalar_loads(h_scalar, addrs, times)
-        got = h_batch.load_batch(addrs, times)
-        np.testing.assert_array_equal(expect, got)
-        assert h_scalar.stats() == h_batch.stats()
-        assert h_scalar._inflight == h_batch._inflight
-        # Post-state agreement: future scalar loads behave identically.
-        follow = _mixed_stream(300, seed=23)
-        follow_t = np.arange(4000.0, 4300.0)
-        np.testing.assert_array_equal(
-            _scalar_loads(h_scalar, follow, follow_t),
-            _scalar_loads(h_batch, follow, follow_t),
-        )
-
-    def test_batch_reproduces_bench_latency_sum(self):
-        # The exact seeded stream of the sim/cache_hierarchy benchmark,
-        # whose work-metadata hash pins the scalar loop's sum across
-        # commits; the batch path must reproduce that sum.
-        accesses = 2000
-        rng = np.random.default_rng(20060101)
-        hot = rng.integers(0, 1 << 16, size=accesses) << 6
-        cold = (rng.integers(0, 1 << 24, size=accesses) << 6) | (1 << 33)
-        addrs = np.where(rng.random(accesses) < 0.2, cold, hot)
-        times = np.arange(accesses, dtype=float)
-        h_scalar = MemoryHierarchy(ProcessorConfig())
-        h_batch = MemoryHierarchy(ProcessorConfig())
-        expect = sum(_scalar_loads(h_scalar, addrs, times).tolist())
-        got = sum(h_batch.load_batch(addrs, times).tolist())
-        assert repr(expect) == repr(got)
-
-    def test_empty_and_invalid_inputs(self):
-        hier = MemoryHierarchy(ProcessorConfig())
-        assert hier.load_batch(np.zeros(0, dtype=np.int64), np.zeros(0)).shape == (0,)
-        with pytest.raises(ValueError):
-            hier.load_batch(np.zeros(3, dtype=np.int64), np.zeros(2))
-
 
 # ---------------------------------------------------------------------------
 # MSHR in-flight fill table (merge + incremental pruning)
