@@ -77,19 +77,19 @@ Commands
 
 Observability
 -------------
-``simulate``, ``build``, ``experiments``, ``benchmarks`` and ``report``
-accept a global ``--trace[=PATH]`` flag (or ``REPRO_TRACE=1`` /
-``REPRO_TRACE=path`` in the environment) that records the run's span tree
-and metrics to a JSONL file — by default
-``results/trace-<command>.jsonl``.  ``build`` and ``simulate`` always
-write a ``manifest.json`` next to their results recording seed,
-design-space hash, git SHA, package version and metric totals.
+Every run-style command accepts a global ``--trace[=PATH]`` flag (or
+``REPRO_TRACE=1`` / ``REPRO_TRACE=path`` in the environment) that streams
+the run's span tree and metrics to a JSONL file — by default
+``results/trace-<command>.jsonl``.
 
-Every ``simulate``/``build``/``bench``/``report`` run (and every exhibit
-rendered by the benchmark suite) also appends one record to the
-run-history ledger; ``repro report --html`` renders the ledger as a
-single self-contained HTML file with charts, the latest span tree and
-the gate/drift status.
+``simulate``, ``stacks``, ``build``, ``bench``, ``report`` and ``serve``
+record every run, failed ones included, through :func:`run_context`:
+``results/manifest.json`` (seed, design-space hash, git SHA, package
+version, start time, whole-command wall time, metric totals, and
+``error`` when the run raised) and one run-history ledger record, as
+every exhibit rendered by the benchmark suite does.  ``repro report
+--html`` renders the ledger as a single self-contained HTML file with
+charts, the latest span tree and the gate/drift status.
 """
 
 from __future__ import annotations
@@ -97,8 +97,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro import obs
 from repro.core.design_space import paper_design_space, paper_test_space
@@ -149,97 +150,93 @@ def _override_grid(overrides: dict) -> List[dict]:
     return combos
 
 
-def _record_run(manifest, args: Optional[argparse.Namespace] = None,
-                gate=None, extra=None, note_file=None) -> None:
-    """Append one run to the run-history ledger and say where."""
-    from repro.obs import history
+@contextmanager
+def run_context(args: argparse.Namespace) -> Iterator[dict]:
+    """Record one run: ``results/manifest.json`` and a ledger record.
 
-    record = history.record_from_manifest(
-        manifest,
-        trace_path=getattr(args, "trace_dest", None) if args else None,
-        gate=gate,
-        extra=extra,
-    )
-    path = history.append_run(record)
-    print(f"[run recorded in {path}]", file=note_file or sys.stdout)
-
-
-def _write_run_manifest(command: str,
-                        args: Optional[argparse.Namespace] = None,
-                        note_file=None, **kwargs) -> None:
-    """Write ``results/manifest.json`` for one CLI run and say where.
-
-    Also appends the run to the history ledger — the manifest is the
-    per-run snapshot, the ledger the longitudinal record.  ``note_file``
-    redirects the "[written to ...]" notes (stderr for ``--json`` modes
-    whose stdout must stay machine-readable).
+    The identity fields (start time, argv, git SHA) are stamped on entry.
+    The command fills the yielded dict with manifest fields (``seed``,
+    ``design_space_hash``, ``overrides``, ``jobs``, ``metrics``, headline
+    numbers) and an optional perf-gate verdict under ``gate``.  On exit,
+    by return or by raise, the manifest gets the whole command's wall
+    time and is recorded through :func:`repro.obs.history.record_run`; a
+    run that raised carries the exception's type name in ``error`` and
+    the exception propagates.  The notes go to stderr under ``--json``.
     """
     from repro.experiments.report import results_dir
+    from repro.obs import history
 
-    manifest = obs.build_manifest(command, **kwargs)
-    path = obs.write_manifest(results_dir() / "manifest.json", manifest)
-    print(f"[manifest written to {path}]", file=note_file or sys.stdout)
-    _record_run(manifest, args, note_file=note_file)
+    start = obs.monotonic()
+    base = obs.build_manifest(args.command)
+    run: dict = {}
+    try:
+        yield run
+    except BaseException as exc:
+        run["error"] = type(exc).__name__
+        raise
+    finally:
+        gate = run.pop("gate", None)
+        manifest = obs.snapshot_manifest(
+            base, metrics=run.pop("metrics", None),
+            wall_time_s=obs.monotonic() - start, extra=run)
+        path = results_dir() / "manifest.json"
+        ledger = history.record_run(
+            manifest, path, trace_path=getattr(args, "trace_dest", None),
+            gate=gate)
+        notes = sys.stderr if getattr(args, "json", False) else sys.stdout
+        print(f"[manifest written to {path}]", file=notes)
+        print(f"[run recorded in {ledger}]", file=notes)
+
+
+def _listed(overrides: dict) -> dict:
+    """Overrides as recorded: a swept value's tuple becomes a list."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in overrides.items()}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """``repro simulate``: detailed simulation at one or a grid of configs."""
-    overrides = _parse_overrides(args.overrides)
-    grid = _override_grid(overrides)
-    start = obs.monotonic()
-    if len(grid) == 1:
+    with run_context(args) as run:
+        overrides = _parse_overrides(args.overrides)
+        grid = _override_grid(overrides)
+        run.update(overrides=_listed(overrides), benchmark=args.benchmark,
+                   trace_length=args.trace_length, configurations=len(grid))
+        if len(grid) == 1:
+            try:
+                config = ProcessorConfig(**grid[0])
+            except (TypeError, ValueError) as exc:
+                raise SystemExit(f"bad configuration: {exc}")
+            trace = get_trace(args.benchmark, args.trace_length)
+            result = simulate(config, trace)
+            run["cpi"] = result.cpi
+            rows = [(k, f"{v:.4g}") for k, v in result.as_dict().items()]
+            print(format_table(["metric", "value"], rows,
+                               title=f"{spec_label(args.benchmark)} on {args.trace_length} instructions"))
+            return 0
+        run["jobs"] = args.jobs
         try:
-            config = ProcessorConfig(**grid[0])
+            configs = [ProcessorConfig(**combo) for combo in grid]
         except (TypeError, ValueError) as exc:
             raise SystemExit(f"bad configuration: {exc}")
-        trace = get_trace(args.benchmark, args.trace_length)
-        result = simulate(config, trace)
-        rows = [(k, f"{v:.4g}") for k, v in result.as_dict().items()]
-        print(format_table(["metric", "value"], rows,
-                           title=f"{spec_label(args.benchmark)} on {args.trace_length} instructions"))
-        _write_run_manifest(
-            "simulate", args,
-            overrides=grid[0],
-            wall_time_s=obs.monotonic() - start,
-            extra={"benchmark": args.benchmark,
-                   "trace_length": args.trace_length,
-                   "configurations": 1,
-                   "cpi": result.cpi},
-        )
+        try:
+            summaries = simulate_configs(
+                args.benchmark, configs, trace_length=args.trace_length,
+                jobs=args.jobs,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc))
+        swept = sorted(k for k, v in overrides.items() if isinstance(v, tuple))
+        rows = [
+            tuple(str(combo[k]) for k in swept)
+            + (f"{s['cpi']:.4g}", f"{s['power']:.4g}", f"{s['energy']:.4g}")
+            for combo, s in zip(grid, summaries)
+        ]
+        print(format_table(
+            swept + ["cpi", "power", "energy"], rows,
+            title=(f"{spec_label(args.benchmark)} on {args.trace_length} "
+                   f"instructions, {len(grid)} configurations"),
+        ))
         return 0
-    try:
-        configs = [ProcessorConfig(**combo) for combo in grid]
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"bad configuration: {exc}")
-    try:
-        summaries = simulate_configs(
-            args.benchmark, configs, trace_length=args.trace_length,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    swept = sorted(k for k, v in overrides.items() if isinstance(v, tuple))
-    rows = [
-        tuple(str(combo[k]) for k in swept)
-        + (f"{s['cpi']:.4g}", f"{s['power']:.4g}", f"{s['energy']:.4g}")
-        for combo, s in zip(grid, summaries)
-    ]
-    print(format_table(
-        swept + ["cpi", "power", "energy"], rows,
-        title=(f"{spec_label(args.benchmark)} on {args.trace_length} "
-               f"instructions, {len(grid)} configurations"),
-    ))
-    _write_run_manifest(
-        "simulate", args,
-        overrides={k: list(v) if isinstance(v, tuple) else v
-                   for k, v in overrides.items()},
-        wall_time_s=obs.monotonic() - start,
-        jobs=args.jobs,
-        extra={"benchmark": args.benchmark,
-               "trace_length": args.trace_length,
-               "configurations": len(grid)},
-    )
-    return 0
 
 
 def cmd_stacks(args: argparse.Namespace) -> int:
@@ -250,81 +247,69 @@ def cmd_stacks(args: argparse.Namespace) -> int:
     from repro.simulator import attribution
     from repro.simulator.simulator import Simulator
 
-    overrides = _parse_overrides(args.overrides)
-    grid = _override_grid(overrides)
-    swept = sorted(k for k, v in overrides.items() if isinstance(v, tuple))
-    start = obs.monotonic()
-    trace = get_trace(args.benchmark, args.trace_length)
-    stacks = {}
-    attributions = {}
-    for combo in grid:
-        try:
-            config = ProcessorConfig(**combo)
-        except (TypeError, ValueError) as exc:
-            raise SystemExit(f"bad configuration: {exc}")
-        label = (",".join(f"{k}={combo[k]}" for k in swept)
-                 if swept else (",".join(f"{k}={v}" for k, v in combo.items())
-                                or "default"))
-        sim = Simulator(config)
-        result = sim.run(trace, collect_attribution=True)
-        stacks[label] = sim.last_core.attribution.stack()
-        attributions[label] = sim.last_core.attribution
-    title = (f"CPI stacks: {spec_label(args.benchmark)} on "
-             f"{args.trace_length} instructions")
-    if args.json:
-        doc = {
-            "benchmark": args.benchmark,
-            "trace_length": args.trace_length,
-            "components": list(attribution.COMPONENTS),
-            "stacks": {
-                label: {
-                    "cpi": stack.cpi,
-                    "cycles": stack.cycles,
-                    "instructions": stack.instructions,
-                    "components": stack.as_dict(),
-                }
-                for label, stack in stacks.items()
-            },
-        }
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(title)
-        print(attribution.render_stack_table(stacks, normalize=args.normalize))
-    interval_lines = 0
-    if args.intervals is not None:
-        base = (Path(args.intervals) if args.intervals
-                else results_dir() / f"stacks-{args.benchmark}.jsonl")
-        for index, (label, att) in enumerate(attributions.items()):
-            dest = (base if len(attributions) == 1
-                    else base.with_name(f"{base.stem}-{index}{base.suffix}"))
-            records = att.intervals(args.interval)
-            interval_lines += attribution.write_intervals_jsonl(
-                dest, records,
-                benchmark=args.benchmark, config=label, window=args.interval,
-            )
-            attribution.emit_interval_events(
-                records, benchmark=args.benchmark, config=label)
-            # Keep --json stdout machine-readable: notes go to stderr.
-            print(f"[{len(records)} interval(s) written to {dest}]",
-                  file=sys.stderr if args.json else sys.stdout)
-    first = next(iter(stacks.values()))
-    _write_run_manifest(
-        "stacks", args,
-        note_file=sys.stderr if args.json else None,
-        overrides={k: list(v) if isinstance(v, tuple) else v
-                   for k, v in overrides.items()},
-        wall_time_s=obs.monotonic() - start,
-        extra={
-            "benchmark": args.benchmark,
-            "trace_length": args.trace_length,
-            "configurations": len(grid),
-            "cpi": first.cpi,
-            "stack_mem_frac": first.memory_fraction(),
-            "stack_frontend_frac": first.frontend_fraction(),
-            "stack": first.as_dict(),
-        },
-    )
-    return 0
+    with run_context(args) as run:
+        overrides = _parse_overrides(args.overrides)
+        grid = _override_grid(overrides)
+        swept = sorted(k for k, v in overrides.items() if isinstance(v, tuple))
+        run.update(overrides=_listed(overrides), benchmark=args.benchmark,
+                   trace_length=args.trace_length, configurations=len(grid))
+        trace = get_trace(args.benchmark, args.trace_length)
+        stacks = {}
+        attributions = {}
+        for combo in grid:
+            try:
+                config = ProcessorConfig(**combo)
+            except (TypeError, ValueError) as exc:
+                raise SystemExit(f"bad configuration: {exc}")
+            label = (",".join(f"{k}={combo[k]}" for k in swept)
+                     if swept else (",".join(f"{k}={v}" for k, v in combo.items())
+                                    or "default"))
+            sim = Simulator(config)
+            sim.run(trace, collect_attribution=True)
+            stacks[label] = sim.last_core.attribution.stack()
+            attributions[label] = sim.last_core.attribution
+        first = next(iter(stacks.values()))
+        run.update(cpi=first.cpi, stack_mem_frac=first.memory_fraction(),
+                   stack_frontend_frac=first.frontend_fraction(),
+                   stack=first.as_dict())
+        title = (f"CPI stacks: {spec_label(args.benchmark)} on "
+                 f"{args.trace_length} instructions")
+        if args.json:
+            doc = {
+                "benchmark": args.benchmark,
+                "trace_length": args.trace_length,
+                "components": list(attribution.COMPONENTS),
+                "stacks": {
+                    label: {
+                        "cpi": stack.cpi,
+                        "cycles": stack.cycles,
+                        "instructions": stack.instructions,
+                        "components": stack.as_dict(),
+                    }
+                    for label, stack in stacks.items()
+                },
+            }
+            print(_json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            print(title)
+            print(attribution.render_stack_table(stacks, normalize=args.normalize))
+        if args.intervals is not None:
+            base = (Path(args.intervals) if args.intervals
+                    else results_dir() / f"stacks-{args.benchmark}.jsonl")
+            for index, (label, att) in enumerate(attributions.items()):
+                dest = (base if len(attributions) == 1
+                        else base.with_name(f"{base.stem}-{index}{base.suffix}"))
+                records = att.intervals(args.interval)
+                attribution.write_intervals_jsonl(
+                    dest, records,
+                    benchmark=args.benchmark, config=label, window=args.interval,
+                )
+                attribution.emit_interval_events(
+                    records, benchmark=args.benchmark, config=label)
+                # Keep --json stdout machine-readable: notes go to stderr.
+                print(f"[{len(records)} interval(s) written to {dest}]",
+                      file=sys.stderr if args.json else sys.stdout)
+        return 0
 
 
 def _resolve_benchmark(args: argparse.Namespace) -> str:
@@ -409,56 +394,44 @@ def _register_build(result, *, benchmark: str, space, stats: dict,
 
 def cmd_build(args: argparse.Namespace) -> int:
     """``repro build``: run BuildRBFmodel and print the validation report."""
-    benchmark = _resolve_benchmark(args)
-    space = paper_design_space()
-    try:
-        runner = SimulationRunner(
-            benchmark, trace_length=args.trace_length, jobs=args.jobs
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    start = obs.monotonic()
-    builder = BuildRBFModel(space, runner.cpi, seed=args.seed)
-    tspace = paper_test_space()
-    test_phys = tspace.decode(random_design(tspace, args.test_points, seed=args.seed + 1))
-    test_cpi = runner.cpi(test_phys)
-    result = builder.build(args.sample_size, test_phys, test_cpi)
-    wall = obs.monotonic() - start
-    stats = runner.stats()
-    print(f"benchmark      : {spec_label(benchmark)}")
-    print(f"sample size    : {args.sample_size}")
-    print(f"p_min / alpha  : {result.info.p_min} / {result.info.alpha}")
-    print(f"RBF centers    : {result.info.num_centers}")
-    print(f"test accuracy  : {result.errors}")
-    print(f"simulations run: {stats['simulations_run']} (+{stats['cache_hits']} cached)")
-    print(f"workers        : {stats['jobs']}")
-    print(f"sim wall time  : {stats['wall_time_s']:.2f}s")
-    assert result.errors is not None
-    model_extra = None
-    if not args.no_register:
-        model_extra = _register_build(
-            result, benchmark=benchmark, space=space, stats=stats,
-            seed=args.seed)
-    extra = {"benchmark": benchmark,
-             "p_min": result.info.p_min,
-             "alpha": result.info.alpha,
-             "num_centers": result.info.num_centers,
-             "mean_error_pct": result.errors.mean}
-    if model_extra:
-        extra.update(model_extra)
-    _write_run_manifest(
-        "build", args,
-        seed=args.seed,
-        design_space=space,
-        overrides={"sample_size": args.sample_size,
-                   "test_points": args.test_points,
-                   "trace_length": args.trace_length},
-        metrics=runner.metrics.snapshot(),
-        wall_time_s=wall,
-        jobs=stats["jobs"],
-        extra=extra,
-    )
-    return 0
+    with run_context(args) as run:
+        benchmark = _resolve_benchmark(args)
+        space = paper_design_space()
+        run.update(seed=args.seed, design_space_hash=obs.design_space_hash(space),
+                   overrides={"sample_size": args.sample_size,
+                              "test_points": args.test_points,
+                              "trace_length": args.trace_length},
+                   benchmark=benchmark)
+        try:
+            runner = SimulationRunner(
+                benchmark, trace_length=args.trace_length, jobs=args.jobs
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc))
+        builder = BuildRBFModel(space, runner.cpi, seed=args.seed)
+        tspace = paper_test_space()
+        test_phys = tspace.decode(random_design(tspace, args.test_points, seed=args.seed + 1))
+        test_cpi = runner.cpi(test_phys)
+        result = builder.build(args.sample_size, test_phys, test_cpi)
+        stats = runner.stats()
+        assert result.errors is not None
+        run.update(metrics=runner.metrics.snapshot(), jobs=stats["jobs"],
+                   p_min=result.info.p_min, alpha=result.info.alpha,
+                   num_centers=result.info.num_centers,
+                   mean_error_pct=result.errors.mean)
+        print(f"benchmark      : {spec_label(benchmark)}")
+        print(f"sample size    : {args.sample_size}")
+        print(f"p_min / alpha  : {result.info.p_min} / {result.info.alpha}")
+        print(f"RBF centers    : {result.info.num_centers}")
+        print(f"test accuracy  : {result.errors}")
+        print(f"simulations run: {stats['simulations_run']} (+{stats['cache_hits']} cached)")
+        print(f"workers        : {stats['jobs']}")
+        print(f"sim wall time  : {stats['wall_time_s']:.2f}s")
+        if not args.no_register:
+            run.update(_register_build(
+                result, benchmark=benchmark, space=space, stats=stats,
+                seed=args.seed) or {})
+        return 0
 
 
 def _load_trace_or_exit(path: str):
@@ -847,44 +820,39 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(format_table(["benchmark", "group", "repeats", "tolerance"],
                            rows, title="Registered benchmarks"))
         return 0
-    start = obs.monotonic()
-    try:
-        results = prof.run_benchmarks(
-            names=args.names or None, quick=args.quick,
-            measure_memory=not args.no_memory,
-        )
-    except KeyError as exc:
-        raise SystemExit(str(exc.args[0]) if exc.args else str(exc))
-    print(prof.render_bench_table(results))
-    preset = "quick" if args.quick else "full"
-    doc = prof.results_document(results, preset=preset)
-    path = prof.write_results(doc, results_dir())
-    print(f"[bench results written to {path}]")
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else prof.DEFAULT_BASELINE_PATH)
-
-    def record(gate) -> None:
-        manifest = obs.build_manifest(
-            "bench", wall_time_s=obs.monotonic() - start)
-        _record_run(manifest, args, gate=gate, extra={
-            "bench_wall_s": round(sum(r.wall_s for r in results), 6),
-            "artifact": str(path),
-        })
-
-    if args.update_baseline:
-        previous = None
-        if baseline_path.exists():
-            try:
-                previous = prof.load_baseline(baseline_path)
-            except ValueError:
-                previous = None  # unreadable/old baseline: rebuild it
-        written = prof.write_baseline(
-            prof.make_baseline(results, preset=preset, previous=previous),
-            baseline_path)
-        print(f"[baseline updated at {written}]")
-        record(prof.gate_summary([], baseline_path, checked=False))
-        return 0
-    if args.check:
+    with run_context(args) as run:
+        try:
+            results = prof.run_benchmarks(
+                names=args.names or None, quick=args.quick,
+                measure_memory=not args.no_memory,
+            )
+        except KeyError as exc:
+            raise SystemExit(str(exc.args[0]) if exc.args else str(exc))
+        print(prof.render_bench_table(results))
+        preset = "quick" if args.quick else "full"
+        doc = prof.results_document(results, preset=preset)
+        path = prof.write_results(doc, results_dir())
+        print(f"[bench results written to {path}]")
+        run.update(bench_wall_s=round(sum(r.wall_s for r in results), 6),
+                   artifact=str(path))
+        baseline_path = (Path(args.baseline) if args.baseline
+                         else prof.DEFAULT_BASELINE_PATH)
+        if args.update_baseline:
+            previous = None
+            if baseline_path.exists():
+                try:
+                    previous = prof.load_baseline(baseline_path)
+                except ValueError:
+                    previous = None  # unreadable/old baseline: rebuild it
+            written = prof.write_baseline(
+                prof.make_baseline(results, preset=preset, previous=previous),
+                baseline_path)
+            print(f"[baseline updated at {written}]")
+            run["gate"] = prof.gate_summary([], baseline_path, checked=False)
+            return 0
+        if not args.check:
+            run["gate"] = prof.gate_summary([], checked=False)
+            return 0
         try:
             baseline = prof.load_baseline(baseline_path)
         except OSError as exc:
@@ -892,7 +860,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise SystemExit(str(exc))
         violations = prof.check_results(results, baseline, preset=preset)
-        record(prof.gate_summary(violations, baseline_path))
+        run["gate"] = prof.gate_summary(violations, baseline_path)
         if violations:
             for violation in violations:
                 print(f"REGRESSION: {violation}")
@@ -901,8 +869,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"[perf gate passed: {len(results)} benchmark(s) within "
               f"tolerance of {baseline_path}]")
         return 0
-    record(prof.gate_summary([], checked=False))
-    return 0
 
 
 def cmd_experiments(_args: argparse.Namespace) -> int:
@@ -950,20 +916,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if args.html is not None:
         return _report_html(args)
-    start = obs.monotonic()
-    sections, missing = collect()
-    if not sections:
-        print("no results found; run `pytest benchmarks/ --benchmark-only` first")
-        return 1
-    path = write_summary()
-    print("\n\n".join(sections))
-    print(f"\n[summary written to {path}]")
-    if missing:
-        print(f"[missing exhibits: {', '.join(missing)}]")
-    manifest = obs.build_manifest("report",
-                                  wall_time_s=obs.monotonic() - start)
-    _record_run(manifest, args, extra={"artifact": str(path)})
-    return 0
+    with run_context(args) as run:
+        sections, missing = collect()
+        if not sections:
+            print("no results found; run `pytest benchmarks/ --benchmark-only` first")
+            return 1
+        path = write_summary()
+        run["artifact"] = str(path)
+        print("\n\n".join(sections))
+        print(f"\n[summary written to {path}]")
+        if missing:
+            print(f"[missing exhibits: {', '.join(missing)}]")
+        return 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -999,77 +963,51 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     Loads the registry's models (hash-verified), serves predictions until
     the ``--max-requests`` budget is spent or Ctrl-C, and leaves the full
-    observability record behind: a streaming span trace (``--trace``), a
-    JSONL access log, a mid-flight-refreshed manifest and one ledger
+    observability record behind: a span per request in the ``--trace``
+    stream, a JSONL access log, and the session's manifest and ledger
     record carrying request volume and latency quantiles.
     """
     from repro.experiments.report import results_dir
-    from repro.obs.live import AccessLog, LiveCollector, StreamingTraceSink
+    from repro.obs.live import AccessLog
     from repro.serve import ServingApp, serve_forever
 
-    registry = _registry_or_exit(args)
-    _entries_or_exit(registry)
-    access_path = (Path(args.access_log) if args.access_log
-                   else results_dir() / "serve-access.jsonl")
-    access = AccessLog(access_path)
-    app = ServingApp(
-        registry,
-        benchmark=args.benchmark,
-        family=args.family,
-        access_log=access,
-        max_requests=args.max_requests,
-    )
-    services = app.load_models()
-    if not services:
-        raise SystemExit("no registered models match the given filters "
-                         "(see `repro models list`)")
-    for service in services:
-        entry = service.entry
-        print(f"[serving {entry.benchmark or '-'} {entry.family} "
-              f"v{entry.version} {entry.sha}"
-              f"{'' if service.calibrated else ' (uncalibrated)'}]")
-
-    # Serving streams its trace span-by-span (repro.obs.live) instead of
-    # using main()'s batch collector, which would buffer an unbounded
-    # span tree for a process that may never exit.
-    dest = args.trace_dest
-    sink = collector = None
-    if dest is not None:
-        sink = StreamingTraceSink(
-            dest,
-            header={"command": "serve"},
-            max_bytes=args.trace_max_bytes,
-            metrics_snapshot=app.metrics.snapshot,
+    with run_context(args) as run:
+        registry = _registry_or_exit(args)
+        run["registry"] = str(registry.root)
+        _entries_or_exit(registry)
+        access_path = (Path(args.access_log) if args.access_log
+                       else results_dir() / "serve-access.jsonl")
+        access = AccessLog(access_path)
+        app = ServingApp(
+            registry,
+            benchmark=args.benchmark,
+            family=args.family,
+            access_log=access,
+            max_requests=args.max_requests,
         )
-        collector = LiveCollector(sink=sink)
-        obs.activate(collector)
-    base = obs.build_manifest("serve", extra={"registry": str(registry.root)})
-    start = obs.monotonic()
-    try:
-        serve_forever(
-            app, args.host, args.port,
-            on_ready=lambda bound: print(
-                f"[listening on http://{bound[0]}:{bound[1]} — "
-                f"access log {access_path}]"),
-        )
-    except OSError as exc:
-        raise SystemExit(f"cannot serve on {args.host}:{args.port}: {exc}")
-    finally:
-        if collector is not None:
-            obs.deactivate()
-            sink.close()
-            print(f"[trace written to {dest}]")
-        access.close()
-        manifest = obs.snapshot_manifest(
-            base,
-            metrics=app.metrics.snapshot(),
-            wall_time_s=obs.monotonic() - start,
-            extra=app.session_fields(),
-        )
-        path = obs.write_manifest(results_dir() / "manifest.json", manifest)
-        print(f"[manifest written to {path}]")
-        _record_run(manifest, args)
-    return 0
+        services = app.load_models()
+        if not services:
+            raise SystemExit("no registered models match the given filters "
+                             "(see `repro models list`)")
+        for service in services:
+            entry = service.entry
+            print(f"[serving {entry.benchmark or '-'} {entry.family} "
+                  f"v{entry.version} {entry.sha}"
+                  f"{'' if service.calibrated else ' (uncalibrated)'}]")
+        try:
+            serve_forever(
+                app, args.host, args.port,
+                on_ready=lambda bound: print(
+                    f"[listening on http://{bound[0]}:{bound[1]} — "
+                    f"access log {access_path}]"),
+            )
+        except OSError as exc:
+            raise SystemExit(f"cannot serve on {args.host}:{args.port}: {exc}")
+        finally:
+            access.close()
+            run["metrics"] = app.metrics.snapshot()
+            run.update(app.session_fields())
+        return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1419,19 +1357,33 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     dest = _trace_destination(args)
     args.trace_dest = dest  # ledger records point at the run's trace
-    if dest is None or args.command == "serve":
-        # serve streams its own trace span-by-span (repro.obs.live);
-        # batch collection would buffer an unbounded tree.
+    if dest is None:
         return args.func(args)
-    with obs.collecting() as collector:
-        try:
-            with obs.span(f"repro/{args.command}"):
-                return args.func(args)
-        finally:
-            # A failed run keeps its trace; spans it left open carry the
-            # ``error`` attribute ``obs.span`` sets on the way out.
-            obs.write_trace(collector, dest, header={"command": args.command})
-            print(f"[trace written to {dest}]")
+    from repro.obs.sinks import StreamingTraceSink
+
+    # The collector streams each root to the sink as it closes and keeps
+    # only the open spans.
+    collector = obs.Collector()
+    collector.sink = StreamingTraceSink(
+        dest, header={"command": args.command},
+        max_bytes=getattr(args, "trace_max_bytes", None),
+        metrics_snapshot=collector.metrics.snapshot)
+    obs.activate(collector)
+    try:
+        if args.command == "serve":
+            # serve's roots are its requests: a session-long root would
+            # hold every request in memory until shutdown.  This goes once
+            # traces stream span open/close records.
+            return args.func(args)
+        with obs.span(f"repro/{args.command}"):
+            return args.func(args)
+    finally:
+        # A failed run keeps its trace; spans it left open carry the
+        # ``error`` attribute ``obs.span`` sets on the way out.
+        obs.deactivate(collector)
+        collector.flush()
+        collector.sink.close()
+        print(f"[trace written to {dest}]")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ by the meta-tests that assert every paper exhibit has a harness.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 from typing import Dict
 
@@ -21,38 +20,6 @@ class Experiment:
     module: str  # repro.experiments module implementing it
     bench: str  # benchmark file regenerating it
     workloads: str  # benchmarks involved
-
-
-def run_exhibit(exp_id: str, **kwargs):
-    """Run one registered exhibit's ``run()`` and return its result.
-
-    The call is wrapped in an ``obs`` span named after the exhibit; when
-    the harness raises mid-run, the failure is recorded as a structured
-    event (and the exception annotated with the failing stage) so the
-    report says *where* it died, not just that it died.  A completed run
-    is appended to the run-history ledger with its wall time.
-    """
-    from repro import obs
-    from repro.obs import history
-
-    if exp_id not in EXPERIMENTS:
-        raise KeyError(
-            f"unknown exhibit {exp_id!r}; known: {sorted(EXPERIMENTS)}"
-        )
-    exp = EXPERIMENTS[exp_id]
-    module = importlib.import_module(exp.module)
-    start = obs.monotonic()
-    with obs.span("exhibit", id=exp_id, exhibit=exp.exhibit):
-        try:
-            result = module.run(**kwargs)
-        except Exception as exc:
-            obs.record_failure(f"exhibit/{exp_id}", exc, exhibit=exp.exhibit)
-            raise
-    manifest = obs.build_manifest(
-        f"exhibit:{exp_id}", wall_time_s=obs.monotonic() - start)
-    history.append_run(history.record_from_manifest(
-        manifest, extra={"exhibit": exp.exhibit}))
-    return result
 
 
 EXPERIMENTS: Dict[str, Experiment] = {

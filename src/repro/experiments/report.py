@@ -50,8 +50,6 @@ def emit(name: str, text: str) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.txt"
     path.write_text(text + "\n")
-    manifest = _exhibit_manifest(name)
-    obs.write_manifest(out / f"{name}.manifest.json", manifest)
-    history.append_run(history.record_from_manifest(
-        manifest, extra={"artifact": str(path)}))
+    history.record_run(_exhibit_manifest(name), out / f"{name}.manifest.json",
+                       extra={"artifact": str(path)})
     return path

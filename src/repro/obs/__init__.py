@@ -16,8 +16,8 @@ A dependency-free layer of five pieces:
   written next to every result, snapshottable mid-process via
   :func:`snapshot_manifest`;
 * **live telemetry** (:mod:`repro.obs.live`) — the continuous half for
-  processes that never exit: a streaming trace sink with rotation, a
-  memory-bounded :class:`~repro.obs.live.LiveCollector`, windowed
+  processes that never exit: a streaming trace sink with rotation that a
+  :class:`Collector` built with ``sink=`` feeds root by root, windowed
   metrics snapshots and a JSONL access log, serving ``repro serve``.
 
 Tracing is off by default and costs nothing measurable: ``span`` yields a

@@ -22,6 +22,7 @@ from repro.obs.history.ledger import (
     iter_runs,
     load_runs,
     record_from_manifest,
+    record_run,
 )
 from repro.obs.history.report import render_html, write_html
 from repro.obs.history.trend import (
@@ -59,6 +60,7 @@ __all__ = [
     "median",
     "modified_zscore",
     "record_from_manifest",
+    "record_run",
     "render_diff",
     "render_html",
     "render_trend",

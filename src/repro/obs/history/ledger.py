@@ -2,12 +2,12 @@
 
 Manifests (:mod:`repro.obs.manifest`) answer "what produced *this*
 result?"; the ledger answers the longitudinal question — "how has the
-pipeline behaved across *every* run on this machine?".  Each
-``repro build`` / ``simulate`` / ``bench`` / ``report`` invocation and
-every rendered exhibit appends exactly one schema-versioned record to
-``results/history/runs.jsonl``: the manifest's provenance and cost
-fields, the run's headline accuracy numbers, metric totals, the perf-gate
-outcome when one ran, and the path of the recorded trace (when tracing).
+pipeline behaved across *every* run on this machine?".  Each recorded
+CLI run, failed ones included, and every rendered exhibit appends exactly
+one schema-versioned record to ``results/history/runs.jsonl`` through
+:func:`record_run`: the manifest's provenance and cost fields, the run's
+headline numbers, metric totals, the perf-gate outcome when one ran, and
+the path of the recorded trace (when tracing).
 
 Appends and reads go through :mod:`repro.util.store` (locked JSONL
 append, lenient read): an unparseable line is counted and skipped, never
@@ -20,6 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
+from repro.obs.manifest import write_manifest
 from repro.util import store
 
 #: Ledger record schema version.
@@ -27,12 +28,13 @@ HISTORY_SCHEMA_VERSION = 1
 
 #: Manifest fields copied verbatim into a history record when non-``None``.
 #: ``python_version``/``numpy_version`` arrived with the model registry;
-#: older manifests simply lack them and the copy stays lenient.
+#: older manifests simply lack them and the copy stays lenient.  ``error``
+#: names the exception of a run that raised.
 MANIFEST_FIELDS = (
     "command", "started", "git_sha", "version", "python", "python_version",
     "numpy_version", "hostname", "pid",
     "seed", "design_space_hash", "wall_time_s", "cpu_time_s", "jobs",
-    "cache_hit_rate",
+    "cache_hit_rate", "error",
 )
 
 #: Command-specific headline fields lifted from manifest extras when present.
@@ -114,6 +116,20 @@ def append_run(record: Mapping[str, Any],
     path = Path(path) if path is not None else default_history_path()
     store.append_jsonl(path, lambda _records: record)
     return path
+
+
+def record_run(manifest: Mapping[str, Any], manifest_path: Union[str, Path],
+               trace_path: Optional[Union[str, Path]] = None,
+               gate: Optional[Mapping[str, Any]] = None,
+               extra: Optional[Mapping[str, Any]] = None) -> Path:
+    """Write ``manifest`` at ``manifest_path``, append its ledger record.
+
+    The one writer of run records, for CLI runs and rendered exhibits;
+    returns the ledger path.
+    """
+    write_manifest(manifest_path, manifest)
+    return append_run(record_from_manifest(manifest, trace_path=trace_path,
+                                           gate=gate, extra=extra))
 
 
 def load_runs(

@@ -95,8 +95,8 @@ def comparable_history(
     runs: Sequence[Mapping[str, Any]],
     latest: Mapping[str, Any],
 ) -> List[Mapping[str, Any]]:
-    """Prior runs comparable to ``latest``: same command, same benchmark."""
-    prior = [r for r in runs if r is not latest]
+    """Prior runs comparable to ``latest``: same command and benchmark, no error."""
+    prior = [r for r in runs if r is not latest and "error" not in r]
     prior = [r for r in prior if r.get("command") == latest.get("command")]
     if latest.get("benchmark") is not None:
         prior = [r for r in prior

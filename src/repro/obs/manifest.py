@@ -3,8 +3,8 @@
 A manifest answers "which seed, which design space, which code, at what
 cost produced this result?" — the questions the paper's
 simulation-vs-accuracy tradeoff turns on, and the ones an ad-hoc results
-directory cannot answer six months later.  ``repro build``,
-``repro simulate`` and every rendered exhibit write one.
+directory cannot answer six months later.  Every recorded CLI run
+(:func:`repro.cli.run_context`) and every rendered exhibit writes one.
 
 Contents (schema version 1): the command and argv, wall-clock start time,
 seed, a stable hash of the design space actually sampled, the overrides
@@ -27,6 +27,8 @@ from datetime import datetime, timezone
 from hashlib import sha256
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
+
+from repro.util import store
 
 #: Manifest schema version.
 MANIFEST_SCHEMA_VERSION = 1
@@ -135,6 +137,9 @@ def build_manifest(
 ) -> Dict[str, Any]:
     """Assemble a manifest dict for one run.
 
+    ``started`` is the time of this call: build the manifest when the run
+    starts and refresh its cost fields at exit (:func:`snapshot_manifest`).
+
     Parameters
     ----------
     command:
@@ -228,11 +233,10 @@ def snapshot_manifest(
 
 
 def write_manifest(path: Union[str, Path], manifest: Mapping[str, Any]) -> Path:
-    """Write ``manifest`` as pretty-printed JSON at ``path``."""
+    """Atomically replace ``path`` with ``manifest`` as pretty-printed JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    store.write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

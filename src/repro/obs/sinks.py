@@ -13,10 +13,10 @@ The JSONL schema (``version`` 1) is one JSON object per line:
 * ``{"type": "metrics", "counters": ..., "gauges": ..., "histograms":
   ...}`` — final metric totals, last line.
 
-Every trace is written by :class:`StreamingTraceSink`: ``repro serve``
-streams each request's span tree as it closes
-(:class:`repro.obs.live.LiveCollector`), and :func:`write_trace` streams
-a finished collector with rotation off.  Emitting whole subtrees keeps
+Every trace is written by :class:`StreamingTraceSink`: a
+:class:`~repro.obs.tracing.Collector` built with ``sink=`` streams each
+root span tree as it closes, and :func:`write_trace` streams a finished
+collector with rotation off.  Emitting whole subtrees keeps
 the parent-precedes-child invariant that an append-per-span stream would
 violate (children close first), and makes every line boundary a
 consistent read point: a reader at any moment sees only complete spans,

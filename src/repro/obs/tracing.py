@@ -117,7 +117,7 @@ NOOP_SPAN = _NoopSpan()
 
 
 class Collector:
-    """In-memory trace collector: span tree, metrics, structured events.
+    """Trace collector: span tree, metrics, structured events.
 
     Parameters
     ----------
@@ -125,15 +125,21 @@ class Collector:
         Zero-argument monotonic time source.  Defaults to
         :func:`time.perf_counter`; tests inject a fake clock for
         deterministic durations.
+    sink:
+        Optional :class:`~repro.obs.sinks.StreamingTraceSink`: whenever
+        the span stack unwinds to empty, the completed roots and buffered
+        events go to it and are dropped (:meth:`flush`).
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    def __init__(self, clock: Optional[Callable[[], float]] = None,
+                 sink: Any = None):
         self.clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self.origin = self.clock()
         self.roots: List[SpanNode] = []
         self._stack: List[SpanNode] = []
         self.metrics = MetricsRegistry()
         self.events: List[Dict[str, Any]] = []
+        self.sink = sink
 
     # -- span lifecycle ---------------------------------------------------
 
@@ -155,8 +161,16 @@ class Collector:
             if top.end is None:
                 top.end = now
             if top is node:
-                return
-        # ``node`` was not on the stack (already closed); nothing to do.
+                break
+        if self.sink is not None and not self._stack:
+            self.flush()
+
+    def flush(self) -> None:
+        """Emit the completed roots, then the buffered events, and drop them."""
+        while self.roots:
+            self.sink.emit(self.roots.pop(0), self.origin)
+        while self.events:
+            self.sink.emit_event(self.events.pop(0))
 
     def current_span(self) -> Optional[SpanNode]:
         """The innermost open span, or ``None`` at the trace root."""

@@ -122,8 +122,13 @@ class ServingApp:
         for entry in ordered:
             model, names, metadata = self.registry.load(entry)
             self.services.append(ModelService(entry, model, names, metadata))
-        self.metrics.set_gauge("models_loaded", len(self.services))
+        self._record("set_gauge", "models_loaded", len(self.services))
         return self.services
+
+    def _record(self, kind: str, name: str, value: float = 1.0) -> None:
+        """Record into the app's registry and mirror to any active trace."""
+        getattr(self.metrics, kind)(name, value)
+        getattr(obs, kind)(name, value)
 
     # -- request plumbing ----------------------------------------------------
 
@@ -162,10 +167,10 @@ class ServingApp:
                 status = 500
                 payload = {"error": f"internal error: {exc}"}
         latency = obs.monotonic() - start
-        self.metrics.inc("requests_total")
+        self._record("inc", "requests_total")
         if status >= 400:
-            self.metrics.inc("request_errors")
-        self.metrics.observe("serve/latency_s", latency)
+            self._record("inc", "request_errors")
+        self._record("observe", "serve/latency_s", latency)
         payload.setdefault("request_id", request_id)
         if self.access_log is not None:
             self.access_log.log(
@@ -270,8 +275,8 @@ class ServingApp:
             else:
                 values = service.model.predict_batch(points)
                 payload["values"] = [float(v) for v in values]
-        self.metrics.inc("points_predicted", len(points))
-        self.metrics.observe("serve/batch_points", len(points))
+        self._record("inc", "points_predicted", len(points))
+        self._record("observe", "serve/batch_points", len(points))
         return 200, payload
 
     def _models(self) -> Tuple[int, Dict[str, Any]]:

@@ -251,6 +251,9 @@ class TestTrend:
     def test_check_needs_min_history_and_comparable_runs(self):
         short = [make_run(wall_time_s=1.0)] * 3 + [make_run(wall_time_s=50.0)]
         assert history.check_latest(short) == []  # only 3 prior runs
+        # a fourth prior that raised is never a baseline
+        crashed = make_run(wall_time_s=1.0, error="RuntimeError")
+        assert history.check_latest(short[:3] + [crashed] + short[3:]) == []
         mixed = [make_run("bench", wall_time_s=1.0)] * 6 \
             + [make_run("build", wall_time_s=50.0)]
         assert history.check_latest(mixed) == []  # no comparable history
@@ -666,16 +669,3 @@ class TestExhibitLedger:
         record = runs[-1]
         assert record["command"] == "exhibit:unit-history"
         assert record["artifact"] == str(path)
-
-    def test_run_exhibit_records_wall_time(self, results_env, capsys,
-                                           monkeypatch):
-        from repro.experiments import common
-        from repro.experiments.registry import run_exhibit
-
-        common.clear_memos()
-        run_exhibit("fig2", sizes=(8, 16), candidates=8)
-        runs, _ = history.load_runs()
-        record = runs[-1]
-        assert record["command"] == "exhibit:fig2"
-        assert record["exhibit"] == "Figure 2"
-        assert record["wall_time_s"] >= 0

@@ -12,15 +12,19 @@ import hashlib
 import json
 import multiprocessing
 import sys
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
+from repro.core.procedure import BuildRBFModel
 from repro.core.design_space import paper_design_space, paper_test_space
 from repro.experiments.common import stage
 from repro.experiments.runner import SimulationRunner
+from repro.obs import history
+from repro.obs import manifest as manifest_module
 
 TRACE_LENGTH = 2000
 
@@ -400,12 +404,6 @@ class TestFailureReporting:
         assert len(failures) == before + 1 or len(failures) == 16  # bounded
         assert failures[-1]["stage"] == "test_set"
 
-    def test_run_exhibit_unknown_id_raises(self):
-        from repro.experiments.registry import run_exhibit
-
-        with pytest.raises(KeyError, match="unknown exhibit"):
-            run_exhibit("fig99")
-
 
 class TestManifest:
     def test_design_space_hash_stable_and_sensitive(self):
@@ -462,6 +460,47 @@ class TestManifest:
         assert root.attrs["error"] == "RuntimeError"
         fit = [s for s in root.walk() if s.name == "fit"]
         assert fit and all(s.attrs["error"] == "RuntimeError" for s in fit)
+        # ... and its run record: a manifest and a ledger entry naming
+        # the error.
+        manifest = obs.read_manifest(tmp_path / "results" / "manifest.json")
+        assert manifest["command"] == "build"
+        assert manifest["error"] == "RuntimeError"
+        record = history.load_runs()[0][-1]
+        assert record["command"] == "build"
+        assert record["error"] == "RuntimeError"
+        assert record["trace_path"] == str(path)
+
+    def test_started_is_stamped_when_the_run_starts(self, tmp_path,
+                                                    monkeypatch):
+        # A wall clock that only the build advances: ``started`` must
+        # read the time from before the build, not from after it.
+        ticks = [0]
+
+        class FakeDatetime:
+            @staticmethod
+            def now(tz=None):
+                return (datetime(2026, 1, 1, tzinfo=tz)
+                        + timedelta(seconds=ticks[0]))
+
+        real_build = BuildRBFModel.build
+
+        def slow_build(self, *args, **kwargs):
+            ticks[0] += 3
+            return real_build(self, *args, **kwargs)
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(manifest_module, "datetime", FakeDatetime)
+        monkeypatch.setattr(BuildRBFModel, "build", slow_build)
+        assert cli_main(["build", "--benchmark", "mcf", "--sample-size",
+                         "12", "--test-points", "4", "--trace-length",
+                         "1024", "--no-register"]) == 0
+        assert ticks == [3]
+        before = "2026-01-01T00:00:00+00:00"
+        manifest = obs.read_manifest(tmp_path / "results" / "manifest.json")
+        assert manifest["started"] == before
+        assert history.load_runs()[0][-1]["started"] == before
 
     def test_version_flag_matches_package_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

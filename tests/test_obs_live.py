@@ -15,7 +15,6 @@ import pytest
 from repro import obs
 from repro.obs.live import (
     AccessLog,
-    LiveCollector,
     MetricsWindow,
     StreamingTraceSink,
     snapshot_manifest,
@@ -146,7 +145,7 @@ class TestLiveCollector:
         path = tmp_path / "trace.jsonl"
         sink = StreamingTraceSink(path)
         clock = fake_clock()
-        col = LiveCollector(sink, clock=clock)
+        col = obs.Collector(clock=clock, sink=sink)
         for i in range(5):
             root = col.start_span("serve/request", {"request": i})
             clock.advance(0.25)
@@ -165,7 +164,7 @@ class TestLiveCollector:
     def test_buffered_events_are_drained_with_the_roots(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = StreamingTraceSink(path)
-        col = LiveCollector(sink, clock=fake_clock())
+        col = obs.Collector(clock=fake_clock(), sink=sink)
         root = col.start_span("serve/request")
         col.record_event("failure", stage="serve", error="boom")
         col.end_span(root)
@@ -176,7 +175,7 @@ class TestLiveCollector:
         assert data.events[0]["error"] == "boom"
 
     def test_without_a_sink_it_is_a_plain_collector(self):
-        col = LiveCollector(clock=fake_clock())
+        col = obs.Collector(clock=fake_clock())
         root = col.start_span("serve/request")
         col.end_span(root)
         assert [r.name for r in col.roots] == ["serve/request"]

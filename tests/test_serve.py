@@ -13,15 +13,21 @@ budget and checks the deterministic shutdown the CI smoke job relies on.
 
 import asyncio
 import json
+import socket
+import threading
+import time
+from urllib.request import Request, urlopen
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.models import registry as reg
+from repro.obs import history
 from repro.models.rbf import build_rbf_from_tree
 from repro.obs.history.ledger import record_from_manifest
-from repro.obs.live import LiveCollector, StreamingTraceSink
+from repro.obs.live import StreamingTraceSink
 from repro.serve import ModelService, ServingApp, run_server
 from repro.serve import app as app_module
 
@@ -259,7 +265,7 @@ class TestRequestTracing:
     def test_spans_stream_per_request(self, app, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = StreamingTraceSink(path, header={"command": "serve"})
-        collector = LiveCollector(sink)
+        collector = obs.Collector(sink=sink)
         obs.activate(collector)
         try:
             predict(app, {"points": [[0.5, 0.5, 0.5]] * 3})
@@ -350,6 +356,50 @@ class TestHTTPServer:
         assert garbage_status == 400
         assert health[0] == 200
         assert app.requests_served == 1
+
+
+class TestServeCli:
+    def test_session_leaves_trace_manifest_and_ledger_record(
+            self, tmp_path, monkeypatch):
+        registry = make_app(tmp_path).registry.root
+        results = tmp_path / "results"
+        trace = tmp_path / "serve.jsonl"
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(results))
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        codes = []
+        server = threading.Thread(target=lambda: codes.append(main([
+            "serve", "--port", str(port), "--registry", str(registry),
+            "--max-requests", "3", "--trace", str(trace)])), daemon=True)
+        server.start()
+        deadline = time.monotonic() + 30
+        while True:  # an empty connection spends no request budget
+            try:
+                socket.create_connection(("127.0.0.1", port), 1).close()
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline, "server never listened"
+                time.sleep(0.05)
+        url = f"http://127.0.0.1:{port}"
+        body = json.dumps({"points": [[0.5] * DIM]}).encode()
+        for request in (f"{url}/healthz", Request(f"{url}/predict", body),
+                        f"{url}/metrics"):
+            with urlopen(request, timeout=10) as reply:
+                assert reply.status == 200
+        server.join(timeout=30)
+        assert codes == [0]
+        data = obs.read_trace(trace)
+        assert [r.name for r in data.roots] == ["serve/request"] * 3
+        assert data.metrics["counters"]["requests_total"] == 3
+        manifest = obs.read_manifest(results / "manifest.json")
+        assert manifest["requests_served"] == 3
+        assert manifest["registry"] == str(registry)
+        record = history.load_runs()[0][-1]
+        assert record["command"] == "serve"
+        assert record["latency_p50_ms"] > 0
+        assert record["trace_path"] == str(trace)
 
 
 class TestAccessLogIntegration:

@@ -1,11 +1,12 @@
 """Tests for the persistence seam, :mod:`repro.util.store`.
 
 Covers what the store promises its writers (the simulation cache, the
-run ledger, the model registry index) and the trace sink: a file that
-fails to read is never replaced, corrupt content is quarantined with its
-bytes intact, a writer killed at any point keeps every record it
-acknowledged, and no other module re-implements the locking, atomic
-replace or result-root resolution.
+run ledger, the model registry index, the run manifest) and the trace
+sink: a file that fails to read is never replaced, corrupt content is
+quarantined with its bytes intact, a writer killed at any point keeps
+every record it acknowledged, no other module re-implements the
+locking, atomic replace or result-root resolution, and run records are
+written only through :func:`repro.obs.history.record_run`.
 """
 
 import ast
@@ -236,8 +237,23 @@ class TraceWriter:
         assert trace.skipped_lines == 1  # the torn line
 
 
+class ManifestWriter:
+    """Each write replaces the run manifest."""
+
+    def __init__(self, root):
+        self.path = root / "results" / "manifest.json"
+
+    def write(self, i):
+        obs.write_manifest(self.path, {"command": "build", "i": i})
+        return i
+
+    def check(self, acked):
+        assert obs.read_manifest(self.path)["i"] == acked[-1]
+
+
 WRITERS = {"cache": CacheWriter, "ledger": LedgerWriter,
-           "registry": RegistryWriter, "trace": TraceWriter}
+           "registry": RegistryWriter, "trace": TraceWriter,
+           "manifest": ManifestWriter}
 
 
 def _acked_writes_then_killed(writer, kill, count, conn):
@@ -249,7 +265,7 @@ def _acked_writes_then_killed(writer, kill, count, conn):
 
 
 @pytest.mark.parametrize("kind,kill", [
-    (kind, kill) for kind in ("cache", "ledger", "registry")
+    (kind, kill) for kind in ("cache", "ledger", "registry", "manifest")
     for kill in ("temp-write", "before-replace")
 ] + [("trace", "mid-line")])
 def test_killed_writer_keeps_acknowledged_records(tmp_path, kind, kill):
@@ -336,3 +352,39 @@ def test_persistence_primitives_live_only_in_the_store():
     ]
     assert breaches == []
     assert list(seam_breaches(ast.parse(STORE.read_text("utf-8"))))
+
+
+LEDGER = SRC / "obs" / "history" / "ledger.py"
+RECORD_WRITERS = {"append_run", "write_manifest"}
+
+
+def record_writes(tree):
+    """``(line, name)`` for each call to a run-record writer in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name in RECORD_WRITERS:
+                yield node.lineno, name
+
+
+def test_record_guard_flags_every_writer_call():
+    tree = ast.parse(
+        "obs.write_manifest(path, manifest)\n"
+        "history.append_run(record)\n"
+        "append_run(record)\n"
+        "from repro.obs import write_manifest\n"
+    )
+    assert sorted(line for line, _ in record_writes(tree)) == [1, 2, 3]
+
+
+def test_run_records_are_written_only_by_the_ledger():
+    breaches = [
+        f"{path.relative_to(SRC.parent)}:{line}: {name}()"
+        for path in sorted(SRC.rglob("*.py")) if path != LEDGER
+        for line, name in record_writes(ast.parse(path.read_text("utf-8")))
+    ]
+    assert breaches == []
+    assert sorted(name for _, name in record_writes(
+        ast.parse(LEDGER.read_text("utf-8")))) == sorted(RECORD_WRITERS)
