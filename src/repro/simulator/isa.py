@@ -54,7 +54,8 @@ OP_TIMING: Dict[int, Tuple[int, int]] = {
     JUMP: (1, 1),
 }
 
-#: Functional-unit class for each op class (see ``resources.FU_POOLS``).
+#: Functional-unit pool of each op class; op classes naming the same pool
+#: share its units (see :func:`repro.simulator.resources.fu_pools`).
 FU_CLASS = {
     IALU: "ialu",
     IMULT: "imult",

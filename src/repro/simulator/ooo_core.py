@@ -50,17 +50,12 @@ from repro.simulator.attribution import (
     TAG_STORE_FORWARD,
     Attribution,
 )
-from repro.simulator.branch import (
-    PREDICT_BTB_MISS,
-    PREDICT_MISPREDICT,
-    PREDICT_OK,
-    BranchUnit,
-)
+from repro.simulator.branch import PREDICT_BTB_MISS, PREDICT_MISPREDICT, PREDICT_OK
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.hierarchy import MemoryHierarchy
 from repro.simulator.metrics import SimResult
 from repro.simulator.power import estimate_energy
-from repro.simulator.resources import ResourceSet
+from repro.simulator.resources import fu_pools
 from repro.simulator.trace import Trace
 
 
@@ -81,15 +76,13 @@ class OutOfOrderCore:
     def __init__(self, config: ProcessorConfig):
         self.config = config
         self.hierarchy = MemoryHierarchy(config)
-        self.branch_unit = BranchUnit(config)
-        self.resources = ResourceSet(config)
         self.timeline: Optional[Timeline] = None
         self.attribution: Optional[Attribution] = None
         self.forwarded_loads = 0
         self.load_count = 0
 
     def _counters(self) -> dict:
-        """Raw event counters (snapshotted at the warmup boundary)."""
+        """Raw machine event counters (snapshotted at the warmup boundary)."""
         h = self.hierarchy
         return {
             "il1_acc": h.il1.accesses,
@@ -102,8 +95,6 @@ class OutOfOrderCore:
             "queue_delay": h.memctrl.total_queue_delay,
             "dram_acc": h.dram.accesses,
             "dram_rowhit": h.dram.row_hits,
-            "branches": self.branch_unit.conditional,
-            "mispredicts": self.branch_unit.mispredicted,
             "loads": self.load_count,
             "forwarded": self.forwarded_loads,
         }
@@ -160,13 +151,11 @@ class OutOfOrderCore:
             )
         if warmup is None:
             warmup = n // 8
-        if warmup >= n:
+        if not 0 <= warmup < n:
             raise ValueError("warmup must leave at least one measured instruction")
 
         cfg = self.config
         hier = self.hierarchy
-        bru = self.branch_unit
-        fus = self.resources
 
         fetch_width = cfg.fetch_width
         commit_width = cfg.commit_width
@@ -180,8 +169,10 @@ class OutOfOrderCore:
         lsq = cfg.lsq_size
         line_bits = hier.il1.line_bits
         op_timing = isa.OP_TIMING
+        # Per op class: its FU pool's unit free times and its initiation interval.
+        fu_free = fu_pools(cfg)
+        fu_interval = [op_timing[op][1] for op in range(isa.NUM_OP_CLASSES)]
         load_op, store_op = isa.LOAD, isa.STORE
-        branch_op, jump_op = isa.BRANCH, isa.JUMP
 
         complete = [0.0] * n
         commit = [0.0] * n
@@ -213,14 +204,16 @@ class OutOfOrderCore:
             exec_level = [0] * n
             level_tag = {"dl1": TAG_DL1, "l2": TAG_L2, "dram": TAG_DRAM}
 
-        # Per-trace invariants: the decoded columns and per-instruction
-        # L1I line ids are identical at every design point of a sweep, so
-        # they are memoised on the trace rather than recomputed per run.
-        ops, src1s, src2s, addrs, pcs, takens = trace.columns()
+        # Per-trace invariants: the decoded columns, per-instruction L1I
+        # line ids and branch outcomes are identical at every design point
+        # of a sweep, so they are memoised on the trace rather than
+        # recomputed per run.
+        ops, src1s, src2s, addrs, pcs, _ = trace.columns()
         pc_line = trace.pc_lines(line_bits)
+        outcomes = trace.branch_stream(cfg)
 
-        for i, (op, s1, s2, addr, pc, taken, line) in enumerate(
-            zip(ops, src1s, src2s, addrs, pcs, takens, pc_line)
+        for i, (op, s1, s2, addr, pc, line, outcome) in enumerate(
+            zip(ops, src1s, src2s, addrs, pcs, pc_line, outcomes)
         ):
             # ---- fetch -------------------------------------------------
             if slots >= fetch_width:
@@ -268,7 +261,11 @@ class OutOfOrderCore:
                 t = complete[i - s2]
                 if t > issue:
                     issue = t
-            start = fus.request(op, issue)
+            # Earliest-free unit of the op's pool; ties go to the first.
+            free = fu_free[op]
+            best = min(free)
+            start = issue if issue >= best else best
+            free[free.index(best)] = start + fu_interval[op]
             issue_at[i] = start
 
             # ---- execute ----------------------------------------------------
@@ -299,8 +296,7 @@ class OutOfOrderCore:
             complete[i] = comp
 
             # ---- control resolution -------------------------------------
-            if op == branch_op or op == jump_op:
-                outcome = bru.predict(pc, taken, op == branch_op)
+            if outcome != PREDICT_OK:
                 if perfect_bpred:
                     outcome = PREDICT_OK  # oracle front end: never redirect
                 if outcome == PREDICT_MISPREDICT:
@@ -421,6 +417,9 @@ class OutOfOrderCore:
         assert warm_counters is not None
         end = self._counters()
         delta = {k: end[k] - warm_counters[k] for k in end}
+        # Branch counts come from the trace's outcome stream.
+        delta["branches"] = ops[warmup:].count(isa.BRANCH)
+        delta["mispredicts"] = outcomes.count(PREDICT_MISPREDICT, warmup)
         measured_instr = n - warmup
         cycles = commit[-1] + 1.0 - warm_commit
 
@@ -428,7 +427,9 @@ class OutOfOrderCore:
             return delta[num] / delta[den] if delta[den] else 0.0
 
         full_stats = hier.stats()
-        energy = estimate_energy(cfg, n, commit[-1] + 1.0, full_stats, bru.conditional)
+        energy = estimate_energy(
+            cfg, n, commit[-1] + 1.0, full_stats, ops.count(isa.BRANCH)
+        )
         if obs.enabled():
             # Per-simulation instruction/cycle throughput accounting; pure
             # bookkeeping on already-computed values, off the hot loop.

@@ -4,68 +4,29 @@ Each functional-unit class (integer ALUs, integer multiplier/divider, FP
 units, memory ports) owns a small pool of units.  An instruction requesting
 a unit at time ``t`` starts on the earliest-free unit no sooner than ``t``;
 the unit is then busy for the op's initiation interval (1 for pipelined
-units, close to the latency for the unpipelined dividers).
+units, close to the latency for the unpipelined dividers).  The core runs
+that arbitration inline, on the tables built here.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List
 
 from repro.simulator.config import ProcessorConfig
 from repro.simulator import isa
 
 
-class FUPool:
-    """A pool of identical functional units with per-unit busy times."""
+def fu_pools(config: ProcessorConfig) -> List[List[float]]:
+    """Per op class, the per-unit free times of its functional-unit pool.
 
-    __slots__ = ("name", "_free", "requests", "total_wait")
-
-    def __init__(self, name: str, count: int):
-        if count < 1:
-            raise ValueError("a pool needs at least one unit")
-        self.name = name
-        self._free = [0.0] * count
-        self.requests = 0
-        self.total_wait = 0.0
-
-    def request(self, time: float, interval: int) -> float:
-        """Claim a unit at or after ``time``; returns the actual start time."""
-        free = self._free
-        best = 0
-        best_time = free[0]
-        for i in range(1, len(free)):
-            if free[i] < best_time:
-                best_time = free[i]
-                best = i
-        start = time if time >= best_time else best_time
-        free[best] = start + interval
-        self.requests += 1
-        self.total_wait += start - time
-        return start
-
-    @property
-    def mean_wait(self) -> float:
-        return self.total_wait / self.requests if self.requests else 0.0
-
-    def __repr__(self) -> str:
-        return f"FUPool({self.name}, units={len(self._free)})"
-
-
-class ResourceSet:
-    """All functional-unit pools of a configuration, keyed by FU class."""
-
-    def __init__(self, config: ProcessorConfig):
-        self.pools: Dict[str, FUPool] = {
-            "ialu": FUPool("ialu", config.num_ialu),
-            "imult": FUPool("imult", config.num_imult),
-            "fp": FUPool("fp", config.num_fp),
-            "mem": FUPool("mem", config.num_mem_ports),
-        }
-
-    def request(self, op: int, time: float) -> float:
-        """Claim the right unit for op class ``op``; returns start time."""
-        _, interval = isa.OP_TIMING[op]
-        return self.pools[isa.FU_CLASS[op]].request(time, interval)
-
-    def stats(self) -> Dict[str, float]:
-        return {f"fu_{name}_mean_wait": pool.mean_wait for name, pool in self.pools.items()}
+    Op classes that share a pool (:data:`repro.simulator.isa.FU_CLASS`)
+    share one list object, so a unit one of them claims is busy for the
+    others.  Every unit starts free at time 0.
+    """
+    pools = {
+        "ialu": [0.0] * config.num_ialu,
+        "imult": [0.0] * config.num_imult,
+        "fp": [0.0] * config.num_fp,
+        "mem": [0.0] * config.num_mem_ports,
+    }
+    return [pools[isa.FU_CLASS[op]] for op in range(isa.NUM_OP_CLASSES)]

@@ -19,6 +19,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.simulator import isa
+from repro.simulator.branch import BranchUnit
+from repro.simulator.config import ProcessorConfig
 
 
 @dataclass
@@ -52,12 +54,16 @@ class Trace:
     name: str = "trace"
     # Per-trace invariant caches (see :meth:`prepare`).  A trace is
     # simulated at every point of a design sweep, so the Python-level
-    # decode of its arrays is memoised on the instance; the arrays must
-    # be treated as immutable once any cache is populated.
+    # decode of its arrays is memoised on the instance; the first memo
+    # makes the arrays read-only, so an in-place edit raises instead of
+    # leaving the memos stale.
     _columns: Optional[Tuple[list, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
     _pc_lines: Dict[int, List[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _branch_streams: Dict[Tuple[str, int, int, int], bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -123,17 +129,14 @@ class Trace:
         Decoding ``(op, src1, src2, addr, pc, taken)`` once per trace —
         instead of once per simulated design point — is a measurable win
         for sweeps, and the values are exactly ``ndarray.tolist()`` of the
-        stored arrays, so consumers behave bitwise-identically.
+        stored arrays, so consumers behave bitwise-identically.  Every memo
+        derives from the arrays, so filling this one makes them read-only.
         """
         if self._columns is None:
-            self._columns = (
-                self.op.tolist(),
-                self.src1.tolist(),
-                self.src2.tolist(),
-                self.addr.tolist(),
-                self.pc.tolist(),
-                self.taken.tolist(),
-            )
+            arrays = (self.op, self.src1, self.src2, self.addr, self.pc, self.taken)
+            self._columns = tuple(arr.tolist() for arr in arrays)
+            for arr in arrays:
+                arr.flags.writeable = False
         return self._columns
 
     def pc_lines(self, line_bits: int) -> List[int]:
@@ -144,9 +147,35 @@ class Trace:
         """
         lines = self._pc_lines.get(line_bits)
         if lines is None:
+            self.columns()  # freezes ``pc`` before deriving from it
             lines = (self.pc >> line_bits).tolist()
             self._pc_lines[line_bits] = lines
         return lines
+
+    def branch_stream(self, config: ProcessorConfig) -> bytes:
+        """Front-end outcome per instruction under ``config``'s predictor, memoised.
+
+        One :data:`~repro.simulator.branch.PREDICT_OK`,
+        :data:`~repro.simulator.branch.PREDICT_BTB_MISS` or
+        :data:`~repro.simulator.branch.PREDICT_MISPREDICT` code per
+        control instruction, 0 for every other instruction.  The predictor
+        and BTB see only ``(pc, taken, conditional)`` in program order,
+        never a timestamp, so the stream is the same at every design point
+        sharing the predictor geometry, which keys the memo.
+        """
+        key = (config.bpred_kind, config.bpred_entries, config.bpred_history,
+               config.btb_entries)
+        stream = self._branch_streams.get(key)
+        if stream is None:
+            ops, _, _, _, pcs, takens = self.columns()
+            predict = BranchUnit(config).predict
+            outcomes = bytearray(len(ops))
+            control = (self.op == isa.BRANCH) | (self.op == isa.JUMP)
+            for i in np.flatnonzero(control).tolist():
+                outcomes[i] = predict(pcs[i], takens[i], ops[i] == isa.BRANCH)
+            stream = bytes(outcomes)
+            self._branch_streams[key] = stream
+        return stream
 
     def prepare(self, line_bits: Optional[int] = None) -> "Trace":
         """Precompute the per-trace invariants used by the core; returns self."""

@@ -133,9 +133,9 @@ def generate_trace(profile: WorkloadProfile, length: int, seed: int = 0) -> Trac
                     strided_slot_count += 1
                 else:
                     streams[j] = 3
-        slot_op.append(ops)
-        slot_stream.append(streams)
-        slot_cursor.append(cursors)
+        slot_op.append(ops.tolist())
+        slot_stream.append(streams.tolist())
+        slot_cursor.append(cursors.tolist())
 
     # -- address streams -------------------------------------------------
     stack = StackStream()
@@ -154,90 +154,105 @@ def generate_trace(profile: WorkloadProfile, length: int, seed: int = 0) -> Trac
     geo_p = 1.0 / max(profile.mean_dep_distance, 1.0)
 
     # -- dynamic stream ---------------------------------------------------
-    op_out = np.zeros(length, dtype=np.int8)
-    src1_out = np.zeros(length, dtype=np.int32)
-    src2_out = np.zeros(length, dtype=np.int32)
-    addr_out = np.zeros(length, dtype=np.int64)
-    pc_out = np.zeros(length, dtype=np.int64)
-    taken_out = np.zeros(length, dtype=bool)
+    # The per-instruction loop works on plain Python lists and converts
+    # once at the end; numpy scalar reads and writes cost more than the
+    # draws themselves.  The RNG calls and their order are the contract.
+    op_out = [0] * length
+    src1_out = [0] * length
+    src2_out = [0] * length
+    addr_out = [0] * length
+    pc_out = [0] * length
+    taken_out = [False] * length
+
+    lengths = block_len.tolist()
+    pcs = block_pc.tolist()
+    is_jump = site_is_jump.tolist()
+    dominant_taken = site_dominant_taken.tolist()
+    random = rng.random
+    geometric = rng.geometric
+    stack_next, hot_next = stack.next, hot.next
+    strided_next, chase_next = strided.next, chase.next
+    branch_noise = profile.branch_noise
+    branch_bias = profile.branch_bias
+    dep2_prob = profile.dep2_prob
+    chain_break = 1.0 / max(profile.chase_chain_len, 1.0)
+    load_op, store_op = isa.LOAD, isa.STORE
 
     # Pre-draw the block sequence in bulk (cheaper than per-block draws).
     expected_blocks = max(8, int(length / profile.mean_block_len * 1.5) + 8)
-    block_seq = rng.choice(nb, size=expected_blocks, p=popularity)
+    block_seq = rng.choice(nb, size=expected_blocks, p=popularity).tolist()
     block_cursor = 0
 
     i = 0
     last_chase_load = -1
     while i < length:
         if block_cursor >= len(block_seq):
-            block_seq = rng.choice(nb, size=expected_blocks, p=popularity)
+            block_seq = rng.choice(nb, size=expected_blocks, p=popularity).tolist()
             block_cursor = 0
-        b = int(block_seq[block_cursor])
+        b = block_seq[block_cursor]
         block_cursor += 1
-        n_instr = int(block_len[b])
-        base_pc = int(block_pc[b])
+        n_instr = lengths[b]
+        base_pc = pcs[b]
+        ops, streams, cursors = slot_op[b], slot_stream[b], slot_cursor[b]
         for j in range(n_instr):
             if i >= length:
                 break
             pc_out[i] = base_pc + 4 * j
-            is_last = j == n_instr - 1
-            if is_last:
-                if site_is_jump[b]:
+            if j == n_instr - 1:
+                if is_jump[b]:
                     op_out[i] = isa.JUMP
                     taken_out[i] = True
                 else:
                     op_out[i] = isa.BRANCH
-                    if rng.random() < profile.branch_noise:
-                        outcome = rng.random() < 0.5
+                    if random() < branch_noise:
+                        outcome = random() < 0.5
                     else:
-                        follows_bias = rng.random() < profile.branch_bias
-                        outcome = bool(site_dominant_taken[b]) == follows_bias
+                        follows_bias = random() < branch_bias
+                        outcome = dominant_taken[b] == follows_bias
                     taken_out[i] = outcome
                 # Branches compare a recently produced value.
-                d = int(rng.geometric(geo_p))
+                d = geometric(geo_p)
                 if 0 < d <= i:
                     src1_out[i] = d
             else:
-                op = int(slot_op[b][j])
+                op = ops[j]
                 op_out[i] = op
-                if op == isa.LOAD or op == isa.STORE:
-                    stream = slot_stream[b][j]
+                if op == load_op or op == store_op:
+                    stream = streams[j]
                     if stream == 0:
-                        addr_out[i] = stack.next(rng)
+                        addr_out[i] = stack_next(rng)
                     elif stream == 1:
-                        addr_out[i] = hot.next(rng)
+                        addr_out[i] = hot_next(rng)
                     elif stream == 2:
-                        addr_out[i] = strided.next(rng, stream=int(slot_cursor[b][j]))
+                        addr_out[i] = strided_next(rng, stream=cursors[j])
                     else:
-                        addr_out[i] = chase.next(rng)
-                        if op == isa.LOAD:
+                        addr_out[i] = chase_next(rng)
+                        if op == load_op:
                             # Serialise chase loads into finite-length
                             # dependence chains; chain breaks let separate
                             # chains overlap in the instruction window
                             # (memory-level parallelism).
-                            chain_continues = (
-                                rng.random() >= 1.0 / max(profile.chase_chain_len, 1.0)
-                            )
+                            chain_continues = random() >= chain_break
                             if last_chase_load >= 0 and chain_continues:
                                 src1_out[i] = i - last_chase_load
                             last_chase_load = i
                 if src1_out[i] == 0:
-                    d = int(rng.geometric(geo_p))
+                    d = geometric(geo_p)
                     if 0 < d <= i:
                         src1_out[i] = d
-                if rng.random() < profile.dep2_prob:
-                    d = int(rng.geometric(geo_p))
+                if random() < dep2_prob:
+                    d = geometric(geo_p)
                     if 0 < d <= i:
                         src2_out[i] = d
             i += 1
 
     trace = Trace(
-        op=op_out,
-        src1=src1_out,
-        src2=src2_out,
-        addr=addr_out,
-        pc=pc_out,
-        taken=taken_out,
+        op=np.array(op_out, dtype=np.int8),
+        src1=np.array(src1_out, dtype=np.int32),
+        src2=np.array(src2_out, dtype=np.int32),
+        addr=np.array(addr_out, dtype=np.int64),
+        pc=np.array(pc_out, dtype=np.int64),
+        taken=np.array(taken_out, dtype=bool),
         name=profile.name,
     )
     trace.validate()

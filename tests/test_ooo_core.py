@@ -200,9 +200,10 @@ class TestWarmup:
         assert result.instructions == len(tiny_trace) - 500
 
     def test_invalid_warmup(self, tiny_trace):
-        core = OutOfOrderCore(ProcessorConfig())
-        with pytest.raises(ValueError):
-            core.run(tiny_trace, warmup=len(tiny_trace))
+        for warmup in (-1, len(tiny_trace)):
+            core = OutOfOrderCore(ProcessorConfig())
+            with pytest.raises(ValueError, match="at least one measured"):
+                core.run(tiny_trace, warmup=warmup)
 
     def test_default_warmup_is_one_eighth(self, tiny_trace):
         core = OutOfOrderCore(ProcessorConfig())

@@ -1,75 +1,78 @@
-"""Tests for functional-unit pools and structural hazards."""
+"""Tests for functional-unit pools and structural hazards.
+
+The core arbitrates its FU pools inline, so these drive it with small
+hand-built traces (all PCs in one I-cache line) and read each op's unit
+start time off the timeline.  An op with no operands asks for a unit one
+cycle after it dispatches; any later start is a structural wait.
+"""
 
 import pytest
 
 from repro.simulator import isa
 from repro.simulator.config import ProcessorConfig
-from repro.simulator.resources import FUPool, ResourceSet
+from tests.test_ooo_core import build_trace, run
+
+
+def fu_starts(ops, **cfg):
+    """Unit start times of independent ``ops``, and the times they asked."""
+    rows = [(op, 0, 0, 0x10000 + 0x40 * k if isa.is_memory(op) else 0, False)
+            for k, op in enumerate(ops)]
+    core, _ = run(build_trace(rows, loop_pc_bytes=64), **cfg)
+    tl = core.timeline
+    return tl.issue, [d + 1.0 for d in tl.dispatch]
 
 
 class TestFUPool:
     def test_free_unit_starts_immediately(self):
-        pool = FUPool("ialu", 2)
-        assert pool.request(5.0, interval=1) == 5.0
+        starts, asked = fu_starts([isa.IALU, isa.IALU], num_ialu=2)
+        assert starts == asked
 
     def test_contention_serialises(self):
-        pool = FUPool("div", 1)
-        assert pool.request(0.0, interval=10) == 0.0
-        # Second request at t=2 must wait for the unpipelined unit.
-        assert pool.request(2.0, interval=10) == 10.0
+        # The second divide asks a cycle later and still waits for the
+        # unpipelined unit.
+        ops = [isa.IDIV] + [isa.IALU] * 3 + [isa.IDIV]
+        starts, asked = fu_starts(ops, num_imult=1)
+        assert asked[4] > asked[0]
+        assert starts[0] == asked[0]
+        assert starts[4] == starts[0] + isa.OP_TIMING[isa.IDIV][1]
 
     def test_multiple_units_overlap(self):
-        pool = FUPool("alu", 2)
-        assert pool.request(0.0, interval=5) == 0.0
-        assert pool.request(0.0, interval=5) == 0.0
-        assert pool.request(0.0, interval=5) == 5.0
+        starts, asked = fu_starts([isa.FPDIV] * 3, num_fp=2)
+        assert starts[0] == starts[1] == asked[0]
+        assert starts[2] == starts[0] + isa.OP_TIMING[isa.FPDIV][1]
 
     def test_picks_earliest_free_unit(self):
-        pool = FUPool("alu", 2)
-        pool.request(0.0, interval=10)  # unit A busy until 10
-        pool.request(0.0, interval=2)  # unit B busy until 2
-        assert pool.request(1.0, interval=1) == 2.0  # unit B again
-
-    def test_wait_accounting(self):
-        pool = FUPool("div", 1)
-        pool.request(0.0, interval=10)
-        pool.request(0.0, interval=10)
-        assert pool.total_wait == 10.0
-        assert pool.mean_wait == 5.0
+        # A divide holds one unit for 19 cycles and a multiply the other
+        # for one; the next two multiplies both take the second unit.
+        ops = [isa.IDIV, isa.IMULT, isa.IMULT, isa.IMULT]
+        starts, asked = fu_starts(ops, num_imult=2)
+        assert len(set(asked)) == 1
+        t = asked[0]
+        assert starts == [t, t, t + 1.0, t + 2.0]
 
     def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            FUPool("x", 0)
+        for name in ("num_ialu", "num_imult", "num_fp", "num_mem_ports"):
+            with pytest.raises(ValueError, match=name):
+                ProcessorConfig(**{name: 0})
 
 
 class TestResourceSet:
     def test_pipelined_alu_has_unit_interval(self):
-        rs = ResourceSet(ProcessorConfig(num_ialu=1))
-        assert rs.request(isa.IALU, 0.0) == 0.0
-        assert rs.request(isa.IALU, 0.0) == 1.0
+        starts, asked = fu_starts([isa.IALU, isa.IALU], num_ialu=1)
+        assert starts == [asked[0], asked[0] + 1.0]
 
     def test_unpipelined_divider_blocks(self):
-        rs = ResourceSet(ProcessorConfig(num_imult=1))
-        rs.request(isa.IDIV, 0.0)
-        lat, interval = isa.OP_TIMING[isa.IDIV]
-        assert rs.request(isa.IDIV, 0.0) == interval
+        starts, asked = fu_starts([isa.IDIV, isa.IDIV], num_imult=1)
+        _, interval = isa.OP_TIMING[isa.IDIV]
+        assert starts == [asked[0], asked[0] + interval]
 
     def test_div_and_mult_share_pool(self):
-        rs = ResourceSet(ProcessorConfig(num_imult=1))
-        rs.request(isa.IDIV, 0.0)
-        assert rs.request(isa.IMULT, 0.0) > 0.0
+        starts, asked = fu_starts([isa.IDIV, isa.IMULT], num_imult=1)
+        assert starts[1] == asked[1] + isa.OP_TIMING[isa.IDIV][1]
 
     def test_mem_ports_limit(self):
-        rs = ResourceSet(ProcessorConfig(num_mem_ports=2))
-        assert rs.request(isa.LOAD, 0.0) == 0.0
-        assert rs.request(isa.STORE, 0.0) == 0.0
-        assert rs.request(isa.LOAD, 0.0) == 1.0
-
-    def test_stats(self):
-        rs = ResourceSet(ProcessorConfig())
-        rs.request(isa.IALU, 0.0)
-        stats = rs.stats()
-        assert "fu_ialu_mean_wait" in stats
+        starts, asked = fu_starts([isa.LOAD, isa.STORE, isa.LOAD], num_mem_ports=2)
+        assert starts == [asked[0], asked[0], asked[0] + 1.0]
 
 
 class TestIsa:

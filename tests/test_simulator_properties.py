@@ -2,7 +2,9 @@
 
 These check the *response-surface* properties the modeling study relies
 on: determinism, sane CPI bounds, and monotone behaviour of the latency
-parameters on a fixed trace.
+parameters on a fixed trace; and, over random machines and traces, that
+runs are independent of the trace's memos, that the branch outcome stream
+is the predictor's, and that stacks and timelines keep their laws.
 """
 
 import numpy as np
@@ -11,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.design_space import paper_design_space
+from repro.simulator import isa
+from repro.simulator.branch import BranchUnit
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.simulator import Simulator, simulate, simulate_design_point
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import PROFILES
+from tests.test_timeline_invariants import check_invariants
 
 TRACE = generate_trace(PROFILES["twolf"], 3000, seed=5)
 
@@ -102,3 +107,109 @@ def test_simulate_design_point_resolves_fractions(tiny_trace):
     }
     result = simulate_design_point(space, point, tiny_trace)
     assert result.cpi > 0
+
+
+# ---------------------------------------------------------------------------
+# Differential properties over random machines: the per-trace memos (decoded
+# columns, line ids, branch outcome stream) hold only order-only state, so
+# a run must not depend on what ran on the trace before it.
+# ---------------------------------------------------------------------------
+
+GEOMETRY = ("bpred_kind", "bpred_entries", "bpred_history", "btb_entries")
+TOGGLES = (
+    "perfect_branch_prediction", "perfect_dcache", "perfect_icache",
+    "enable_tlb", "writeback", "enable_nextline_prefetch", "enable_stride_prefetch",
+)
+
+
+@st.composite
+def machines(draw):
+    """Config kwargs: the 9 design parameters, the toggles, the predictor."""
+    rob = draw(st.integers(8, 128))
+    kwargs = {
+        "pipe_depth": draw(st.integers(7, 24)),
+        "rob_size": rob,
+        "iq_size": draw(st.integers(1, rob)),
+        "lsq_size": draw(st.integers(1, rob)),
+        "l2_size_kb": draw(st.sampled_from([256, 512, 1024, 2048, 4096, 8192])),
+        "l2_lat": draw(st.integers(5, 20)),
+        "il1_size_kb": draw(st.sampled_from([8, 16, 32, 64])),
+        "dl1_size_kb": draw(st.sampled_from([8, 16, 32, 64])),
+        "dl1_lat": draw(st.integers(1, 4)),
+        "bpred_kind": draw(st.sampled_from(
+            ["bimodal", "gshare", "tournament", "perceptron"])),
+        "bpred_entries": draw(st.sampled_from([256, 4096])),
+        "bpred_history": draw(st.integers(1, 16)),
+        "btb_entries": draw(st.sampled_from([16, 128, 2048])),
+    }
+    for name in TOGGLES:
+        kwargs[name] = draw(st.booleans())
+    return kwargs
+
+
+traces = st.tuples(
+    st.sampled_from(sorted(PROFILES)), st.integers(64, 1500), st.integers(0, 1000)
+)
+
+
+def _trace(args):
+    name, length, seed = args
+    return generate_trace(PROFILES[name], length, seed)
+
+
+def _observed(config, trace):
+    """Every output of one run, floats by repr: result, stack, timeline."""
+    sim = Simulator(config)
+    result = sim.run(trace, collect_timeline=True, collect_attribution=True)
+    tl = sim.last_core.timeline
+    return (
+        {k: repr(v) for k, v in result.as_dict().items()},
+        {k: repr(v) for k, v in result.extra.items()},
+        {k: repr(v) for k, v in result.stack.items()},
+        [list(map(repr, stamps)) for stamps in
+         (tl.fetch, tl.dispatch, tl.issue, tl.complete, tl.commit)],
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(machine=machines(), other=machines(), trace_args=traces)
+def test_runs_ignore_what_ran_on_the_trace_before(machine, other, trace_args):
+    config = ProcessorConfig(**machine)
+    # Another design point and toggle set fills the trace's memos first,
+    # with its own predictor and with this machine's.
+    used = _trace(trace_args)
+    Simulator(ProcessorConfig(**other)).run(used)
+    Simulator(ProcessorConfig(**{**other, **{k: machine[k] for k in GEOMETRY}})).run(used)
+    assert _observed(config, used) == _observed(config, _trace(trace_args))
+
+
+@settings(max_examples=25, deadline=None)
+@given(machine=machines(), trace_args=traces)
+def test_branch_stream_is_an_independent_predictor_pass(machine, trace_args):
+    config = ProcessorConfig(**machine)
+    trace = _trace(trace_args)
+    result = Simulator(config).run(trace)
+    # The reference: the predictor driven directly, in program order.
+    unit = BranchUnit(config)
+    expected = bytearray(len(trace))
+    counts = [(0, 0)]  # (conditional, mispredicted) after each instruction
+    for i, (op, pc, taken) in enumerate(zip(trace.op.tolist(), trace.pc.tolist(),
+                                            trace.taken.tolist())):
+        if isa.is_control(op):
+            expected[i] = unit.predict(pc, taken, op == isa.BRANCH)
+        counts.append((unit.conditional, unit.mispredicted))
+    assert trace.branch_stream(config) == bytes(expected)
+    (c0, m0), (c1, m1) = counts[len(trace) // 8], counts[-1]
+    rate = (m1 - m0) / (c1 - c0) if c1 - c0 else 0.0
+    assert result.branch_mispredict_rate == rate
+
+
+@settings(max_examples=25, deadline=None)
+@given(machine=machines(), trace_args=traces)
+def test_stacks_exact_and_timeline_lawful(machine, trace_args):
+    config = ProcessorConfig(**machine)
+    trace = _trace(trace_args)
+    sim = Simulator(config)
+    result = sim.run(trace, collect_timeline=True, collect_attribution=True)
+    assert sum(result.stack.values()) == result.cycles
+    check_invariants(config, trace, sim.last_core.timeline)

@@ -40,12 +40,10 @@ def _timeline(bench, point):
     return config, trace, core.timeline
 
 
-@pytest.mark.parametrize("bench", benchmark_names())
-@pytest.mark.parametrize("point_index", range(len(PIN_POINTS)))
-def test_timeline_invariants(bench, point_index):
-    config, trace, tl = _timeline(bench, PIN_POINTS[point_index])
+def check_invariants(config, trace, tl):
+    """Assert the module docstring's laws on ``tl``, a run of ``trace``."""
     n = len(tl.commit)
-    assert n == TRACE_LENGTH
+    assert n == len(trace)
 
     # Stage order and integrality, per instruction.
     for i in range(n):
@@ -82,6 +80,14 @@ def test_timeline_invariants(bench, point_index):
     for m_idx in range(lsq, len(mem)):
         assert (tl.commit[mem[m_idx - lsq]] + 1.0
                 <= tl.dispatch[mem[m_idx]]), mem[m_idx]
+
+
+@pytest.mark.parametrize("bench", benchmark_names())
+@pytest.mark.parametrize("point_index", range(len(PIN_POINTS)))
+def test_timeline_invariants(bench, point_index):
+    config, trace, tl = _timeline(bench, PIN_POINTS[point_index])
+    assert len(tl.commit) == TRACE_LENGTH
+    check_invariants(config, trace, tl)
 
 
 def test_timeline_matches_attribution_commit_stream():

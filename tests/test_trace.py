@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.simulator import isa
+from repro.simulator.branch import PREDICT_BTB_MISS, PREDICT_MISPREDICT, PREDICT_OK
+from repro.simulator.config import ProcessorConfig
+from repro.simulator.simulator import simulate
 from repro.simulator.trace import Trace, empty_trace
+from repro.workloads.generator import generate_trace
+from repro.workloads.profiles import PROFILES
 
 
 def make_trace(**overrides):
@@ -76,3 +81,52 @@ class TestUtilities:
         assert len(rows) == 3
         assert rows[1][0] == isa.LOAD
         assert rows[1][3] == 0x1000
+
+
+class TestMemos:
+    """The per-trace memos the core reads, and the freeze that guards them."""
+
+    def test_edit_after_run_raises(self):
+        trace = generate_trace(PROFILES["mcf"], 2048, seed=0)
+        simulate(ProcessorConfig(), trace)
+        alus = np.flatnonzero(trace.op == isa.IALU)[:400]
+        with pytest.raises(ValueError):
+            trace.op[alus] = isa.FPDIV
+        for name in ("src1", "src2", "addr", "pc", "taken"):
+            with pytest.raises(ValueError):
+                getattr(trace, name)[0] = 0
+
+    def test_slice_returns_writable_copies(self):
+        trace = make_trace()
+        trace.columns()
+        part = trace.slice(0, 2)
+        part.op[0] = isa.FPDIV
+        part.taken[1] = True
+        assert trace.op[0] == isa.IALU and not trace.taken[1]
+
+    def test_pc_lines_memoised_per_line_size(self):
+        trace = make_trace()
+        lines = trace.pc_lines(6)
+        assert trace.pc_lines(6) is lines
+        assert lines == (trace.pc >> 6).tolist()
+        assert trace.pc_lines(2) == (trace.pc >> 2).tolist() != lines
+
+    def test_prepare_returns_self(self):
+        trace = make_trace()
+        assert trace.prepare(line_bits=6) is trace
+        assert trace._columns is not None and 6 in trace._pc_lines
+
+    def test_branch_stream_memoised_per_predictor_geometry(self):
+        trace = generate_trace(PROFILES["crafty"], 1024, seed=1)
+        stream = trace.branch_stream(ProcessorConfig())
+        # Design parameters do not touch the predictor: same memo.
+        assert trace.branch_stream(ProcessorConfig(rob_size=128, iq_size=64)) is stream
+        for geometry in ({"bpred_kind": "gshare"}, {"bpred_entries": 1024},
+                         {"bpred_history": 4}, {"btb_entries": 64}):
+            assert trace.branch_stream(ProcessorConfig(**geometry)) is not stream
+        control = (trace.op == isa.BRANCH) | (trace.op == isa.JUMP)
+        codes = np.frombuffer(stream, dtype=np.uint8)
+        assert len(codes) == len(trace)
+        assert not codes[~control].any()
+        assert set(codes[control].tolist()) == {
+            PREDICT_OK, PREDICT_BTB_MISS, PREDICT_MISPREDICT}
