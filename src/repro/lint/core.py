@@ -23,6 +23,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 #: Sentinel rule-id set meaning "suppress every rule".
@@ -35,19 +36,13 @@ _NOQA_RE = re.compile(
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint finding: a rule violation at a source location.
-
-    ``severity`` is ``"error"`` (gates the exit code) or ``"note"`` —
-    advisory findings such as the VEC001 vectorisation worklist that are
-    reported but never fail a run.
-    """
+    """One lint finding: a rule violation at a source location."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    severity: str = "error"
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation (used by the JSON reporter)."""
@@ -57,7 +52,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "severity": self.severity,
         }
 
     def location(self) -> str:
@@ -189,6 +183,15 @@ class FileContext:
         _expand_multiline_suppressions(supp, _statement_spans(tree))
         return cls(path=path, source=source, tree=tree, suppressions=supp)
 
+    @cached_property
+    def import_aliases(self) -> Dict[str, str]:
+        """``import X as Y`` bindings anywhere in the file: ``{Y: X}``."""
+        return {
+            alias.asname: alias.name
+            for node in ast.walk(self.tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.asname
+        }
+
 
 class Rule:
     """Base class for lint rules.
@@ -207,8 +210,6 @@ class Rule:
     scope: str = "file"
     #: Longer rationale used for documentation.
     rationale: str = ""
-    #: ``"error"`` (default, gates the exit code) or ``"note"`` (advisory).
-    severity: str = "error"
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
         """Check one file; return findings (file-scope rules)."""
@@ -227,7 +228,7 @@ class Rule:
             line = getattr(node, "lineno", line)
             col = getattr(node, "col_offset", col)
         return Finding(rule=self.id, path=path, line=line, col=col,
-                       message=message, severity=self.severity)
+                       message=message)
 
 
 class VisitorRule(Rule, ast.NodeVisitor):
@@ -258,7 +259,7 @@ class ProjectRule(Rule):
     — built lazily, so rules that only need the raw contexts pay
     nothing — the symbol table, call graph and dataflow facts of
     :mod:`repro.lint.semantic`.  The runner builds the project once per
-    run and shares it across every project rule, so four semantic passes
+    run and shares it across every project rule, so the semantic passes
     cost one analysis.
 
     Subclasses implement :meth:`check`; :meth:`check_project` remains as

@@ -9,7 +9,7 @@ from repro.lint.core import RULES, Finding
 from repro.lint.runner import LintResult
 
 #: Version stamped into JSON reports so consumers can detect schema drift.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 #: SARIF spec pinned by the report's ``version``/``$schema`` fields.
 SARIF_VERSION = "2.1.0"
@@ -22,16 +22,13 @@ SARIF_SCHEMA_URI = (
 def render_text(result: LintResult, stream: IO[str]) -> None:
     """Write a flake8-style ``path:line:col: RULE message`` report."""
     for finding in result.findings:
-        tag = " (note)" if finding.severity == "note" else ""
         stream.write(
-            f"{finding.location()}: {finding.rule}{tag} {finding.message}\n")
+            f"{finding.location()}: {finding.rule} {finding.message}\n")
     counts = result.counts_by_rule()
     if counts:
         per_rule = ", ".join(f"{rule}: {n}" for rule, n in sorted(counts.items()))
-        notes = len(result.notes)
-        note_part = f", {notes} note(s)" if notes else ""
         stream.write(
-            f"\n{len(result.errors)} finding(s){note_part} in "
+            f"\n{len(result.findings)} finding(s) in "
             f"{result.files_checked} file(s) ({per_rule})\n"
         )
     else:
@@ -58,14 +55,10 @@ def render_json(result: LintResult, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def _sarif_level(finding: Finding) -> str:
-    return "note" if finding.severity == "note" else "error"
-
-
 def _sarif_result(finding: Finding) -> dict:
     return {
         "ruleId": finding.rule,
-        "level": _sarif_level(finding),
+        "level": "error",
         "message": {"text": finding.message},
         "locations": [{
             "physicalLocation": {
@@ -93,9 +86,7 @@ def sarif_document(result: LintResult) -> dict:
             descriptor["shortDescription"] = {"text": cls.title}
             if cls.rationale:
                 descriptor["fullDescription"] = {"text": cls.rationale}
-            descriptor["defaultConfiguration"] = {
-                "level": "note" if cls.severity == "note" else "error",
-            }
+            descriptor["defaultConfiguration"] = {"level": "error"}
         rules.append(descriptor)
     return {
         "$schema": SARIF_SCHEMA_URI,

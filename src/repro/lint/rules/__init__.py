@@ -8,9 +8,10 @@ Each module groups the rules of one contract area:
 * :mod:`repro.lint.rules.design_space` — design-space names (DS001)
 * :mod:`repro.lint.rules.registry_sync` — exhibit registry drift (REG001)
 * :mod:`repro.lint.rules.api` — API hygiene (API001, API002)
-* :mod:`repro.lint.rules.obs` — observability (OBS001)
+* :mod:`repro.lint.rules.obs` — the seam table (OBS001, OBS002, OBS003,
+  OBS005, OBS006) and async serving (OBS004)
 * :mod:`repro.lint.rules.semantic` — whole-program semantic passes
-  (DET001, MUT001, PAR001, VEC001)
+  (DET001, MUT001, PAR001)
 """
 
 from repro.lint.rules import (

@@ -1,36 +1,24 @@
-"""Observability rules: OBS001 (no bare ``print``), OBS002 (no raw wall
-clocks), OBS003 (no raw artifact serialisation) and OBS004 (no blocking
-calls reachable from async serving handlers) in library code.
+"""Observability rules: the seam table (OBS001–OBS003, OBS005, OBS006)
+and OBS004 (no blocking calls reachable from async serving handlers).
 
-Library modules that ``print`` bypass the observability layer: the output
-cannot be captured into traces, silenced in workers, or redirected by the
-harness, and it interleaves unpredictably with progress rendering under
-parallel runs.  Library code should either return data and let the caller
-render it, or go through :func:`repro.obs.echo` — the one console seam.
+A *seam* is the one place a side effect may happen: the console
+(:func:`repro.obs.echo`), the clock (:func:`repro.obs.monotonic`),
+artifact files (:mod:`repro.models.io`, :mod:`repro.models.registry`,
+:mod:`repro.simulator.trace_io`), shared-file persistence
+(:mod:`repro.util.store`) and run records
+(:mod:`repro.obs.history.ledger`).  A library module that goes around
+one writes output traces cannot capture, durations tests cannot fake,
+artifacts with no provenance, or records the history gate never sees.
+Each row of :data:`SEAMS` is the check "primitive P only in modules M";
+:class:`SeamRule` checks every row, and a new seam is one more row.
 
-The same argument applies to clocks.  A library module that reads
-``time.perf_counter()`` directly produces timings that deterministic
-tests cannot fake and traces cannot align: :func:`repro.obs.monotonic`
-is the one clock seam — it reads the active trace collector's injectable
-clock when tracing and falls back to ``time.perf_counter()`` otherwise,
-so a test handing ``Collector(clock=FakeClock())`` controls *every*
-duration in the run, not just the spans.
-
-The CLI front-ends (any ``cli.py``), the lint text reporter
-(``lint/reporters.py``) and the observability package itself
-(``repro/obs/``) are the designated console owners and are exempt from
-OBS001; only ``repro/obs/`` — where the seam is implemented — may touch
-the raw clock under OBS002.
-
-OBS003 extends the same seam argument to *artifact writes*: a library
-module that calls ``pickle.dump``, ``np.save``/``savez`` or
-``joblib.dump`` directly produces anonymous binary files with no format
-version, no provenance, and no registry entry — exactly the artifacts the
-model registry exists to replace.  Model persistence goes through
-:mod:`repro.models.io` (and registration through
-:mod:`repro.models.registry`); simulator trace archives go through
-:mod:`repro.simulator.trace_io`.  Those three modules are the designated
-serialisation seams and the only library code exempt from OBS003.
+Scope comes from the dotted module name
+(:func:`repro.lint.semantic.module_name_for_path` walks the
+``__init__.py`` chain), not from directory names: only the ``repro``
+package is library code, so ``benchmarks/``, ``examples/``,
+``perfbench/`` and ``tests/`` are never flagged.  ``import X as Y`` is
+resolved before names are compared, so an alias does not get past a
+seam.
 
 OBS004 guards the serving event loop.  ``repro serve`` answers requests
 from a single asyncio loop: one ``time.sleep``, raw ``socket`` call or
@@ -47,8 +35,9 @@ synchronous startup code.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from pathlib import PurePath
-from typing import List
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.lint.core import (
     FileContext,
@@ -57,182 +46,188 @@ from repro.lint.core import (
     attribute_chain,
     register,
 )
+from repro.lint.semantic.summary import module_name_for_path
 
 
-def _exempt(path: str) -> bool:
-    """Whether ``path`` may print: not library code, or a console owner."""
-    parts = PurePath(path).parts
-    if "repro" not in parts:
-        return True  # benchmarks/examples/tests render output by design
-    if parts[-1] == "cli.py":
-        return True
-    if "obs" in parts:
-        return True
-    return len(parts) >= 2 and parts[-2:] == ("lint", "reporters.py")
+@dataclass(frozen=True)
+class Seam:
+    """One row of the seam table: these primitives only in these modules."""
+
+    id: str
+    title: str
+    rationale: str
+    #: Where the primitive belongs instead; ends every finding message.
+    hint: str
+    #: Modules that may use the primitives; ``pkg.*`` is ``pkg`` and
+    #: everything under it.
+    allowed: Tuple[str, ...]
+    #: Dotted callees, flagged when called or ``from``-imported.
+    calls: FrozenSet[str] = frozenset()
+    #: Dotted names, flagged when imported or used as an attribute,
+    #: called or not; a module also when anything is imported from it.
+    refs: FrozenSet[str] = frozenset()
+    #: String constants, flagged wherever they appear.
+    constants: FrozenSet[str] = frozenset()
+    #: Call names, flagged on any receiver (and called bare).
+    call_names: FrozenSet[str] = frozenset()
 
 
-@register
-class NoBarePrintRule(VisitorRule):
-    """Forbid bare ``print(...)`` in ``repro`` library modules."""
-
-    id = "OBS001"
-    title = "bare print() in library code bypasses the observability layer"
-    rationale = (
-        "print() in repro/ library modules cannot be captured into traces "
-        "or silenced in worker processes; return data to the caller or go "
-        "through repro.obs.echo. CLI front-ends, lint/reporters.py and "
-        "repro/obs itself own the console and are exempt."
-    )
-
-    def check_file(self, ctx: FileContext) -> List[Finding]:
-        if _exempt(ctx.path):
-            return []
-        return super().check_file(ctx)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Name) and node.func.id == "print":
-            self.report(
-                node,
-                "bare print() in library code; return the text to the "
-                "caller or use repro.obs.echo",
-            )
-        self.generic_visit(node)
-
-
-#: The ``time`` module readings OBS002 forbids outside ``repro/obs``.
-_RAW_CLOCKS = ("time", "monotonic", "perf_counter")
-
-
-def _clock_exempt(path: str) -> bool:
-    """Whether ``path`` may read the raw clock: not library code, or obs."""
-    parts = PurePath(path).parts
-    if "repro" not in parts:
-        return True  # benchmarks/examples/tests time things directly
-    return "obs" in parts  # the seam's own implementation
-
-
-@register
-class NoRawClockRule(VisitorRule):
-    """Forbid direct ``time`` clock reads in ``repro`` library modules."""
-
-    id = "OBS002"
-    title = "raw wall-clock read in library code bypasses the clock seam"
-    rationale = (
-        "time.time()/time.monotonic()/time.perf_counter() in repro/ "
-        "library modules produce durations that deterministic tests "
-        "cannot fake and traces cannot align; read repro.obs.monotonic() "
-        "instead — it follows the active collector's injectable clock. "
-        "Only repro/obs, where the seam lives, touches the raw clock."
-    )
-
-    def check_file(self, ctx: FileContext) -> List[Finding]:
-        if _clock_exempt(ctx.path):
-            return []
-        return super().check_file(ctx)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        chain = attribute_chain(node.func)
-        if chain and len(chain) == 2 and chain[0] == "time" \
-                and chain[1] in _RAW_CLOCKS:
-            self.report(
-                node,
-                f"time.{chain[1]}() in library code; use "
-                "repro.obs.monotonic() so tests and traces control the "
-                "clock",
-            )
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "time" and node.level == 0:
-            clocks = sorted(
-                alias.name for alias in node.names
-                if alias.name in _RAW_CLOCKS
-            )
-            if clocks:
-                self.report(
-                    node,
-                    f"importing {', '.join(clocks)} from time in library "
-                    "code; use repro.obs.monotonic() so tests and traces "
-                    "control the clock",
-                )
-        self.generic_visit(node)
-
-
-#: Raw-serialisation call chains OBS003 forbids, per module alias.  The
-#: ``numpy`` entry also matches the conventional ``np`` alias.
-_RAW_SERIALISERS = {
-    "pickle": ("dump", "dumps"),
-    "numpy": ("save", "savez", "savez_compressed"),
-    "np": ("save", "savez", "savez_compressed"),
-    "joblib": ("dump",),
-}
-
-#: ``repro``-relative suffixes of the designated serialisation seams.
-_SERIALISATION_SEAMS = (
-    ("models", "io.py"),        # versioned model persistence
-    ("models", "registry.py"),  # content-addressed registration
-    ("simulator", "trace_io.py"),  # compressed trace archives
+SEAMS = (
+    Seam(
+        id="OBS001",
+        title="bare print() in library code bypasses the observability layer",
+        rationale=(
+            "print() in repro library modules cannot be captured into "
+            "traces or silenced in worker processes; return data to the "
+            "caller or go through repro.obs.echo. Only repro.cli, "
+            "repro.lint.cli, repro.lint.reporters and repro.obs own the "
+            "console."
+        ),
+        hint="return the text to the caller or use repro.obs.echo",
+        allowed=("repro.cli", "repro.lint.cli", "repro.lint.reporters",
+                 "repro.obs.*"),
+        calls=frozenset({"print"}),
+    ),
+    Seam(
+        id="OBS002",
+        title="raw wall-clock read in library code bypasses the clock seam",
+        rationale=(
+            "time.time()/time.monotonic()/time.perf_counter() in repro "
+            "library modules produce durations that deterministic tests "
+            "cannot fake and traces cannot align; read "
+            "repro.obs.monotonic() instead — it follows the active "
+            "collector's injectable clock. Only repro.obs, where the seam "
+            "lives, touches the raw clock."
+        ),
+        hint="use repro.obs.monotonic() so tests and traces control the clock",
+        allowed=("repro.obs.*",),
+        calls=frozenset({"time.time", "time.monotonic", "time.perf_counter"}),
+    ),
+    Seam(
+        id="OBS003",
+        title=("raw artifact serialisation in library code bypasses the "
+               "registry"),
+        rationale=(
+            "pickle.dump/np.save/joblib.dump in repro library modules "
+            "produce anonymous artifacts with no format version, provenance "
+            "or registry entry; persist models through repro.models.io (and "
+            "register through repro.models.registry), traces through "
+            "repro.simulator.trace_io — the designated serialisation seams."
+        ),
+        hint=("write artifacts through repro.models.io / "
+              "repro.models.registry / repro.simulator.trace_io"),
+        allowed=("repro.models.io", "repro.models.registry",
+                 "repro.simulator.trace_io"),
+        calls=frozenset({
+            "pickle.dump", "pickle.dumps", "numpy.save", "numpy.savez",
+            "numpy.savez_compressed", "joblib.dump",
+        }),
+    ),
+    Seam(
+        id="OBS005",
+        title=("file locking, atomic replace or store location outside the "
+               "store"),
+        rationale=(
+            "The simulation cache, run ledger, model registry and lint fact "
+            "cache share one flock, one atomic replace and one reading of "
+            "REPRO_RESULTS_DIR/REPRO_CACHE_DIR, all in repro.util.store; a "
+            "second copy drifts from the crash-consistency the store tests "
+            "pin."
+        ),
+        hint="lock, replace and locate shared files through repro.util.store",
+        # The constants below name the variables, so the row would flag
+        # this module itself.
+        allowed=("repro.util.store", __name__),
+        refs=frozenset({"fcntl", "os.replace", "tempfile.mkstemp"}),
+        constants=frozenset({"REPRO_RESULTS_DIR", "REPRO_CACHE_DIR"}),
+    ),
+    Seam(
+        id="OBS006",
+        title="run record written outside the ledger",
+        rationale=(
+            "Every run leaves exactly one manifest and one ledger line, "
+            "written by repro.obs.history.record_run; a second writer "
+            "records runs the history gate never sees, or sees twice."
+        ),
+        hint="record runs through repro.obs.history.record_run",
+        allowed=("repro.obs.history.ledger",),
+        call_names=frozenset({"append_run", "write_manifest"}),
+    ),
 )
 
 
-def _serialisation_exempt(path: str) -> bool:
-    """Whether ``path`` may serialise raw artifacts: not library code,
-    or one of the designated seams listed in the module docstring."""
-    parts = PurePath(path).parts
-    if "repro" not in parts:
-        return True  # benchmarks/examples/tests write scratch files freely
-    return any(
-        len(parts) >= len(seam) and parts[-len(seam):] == seam
-        for seam in _SERIALISATION_SEAMS
-    )
+def _within(module: str, pattern: str) -> bool:
+    """Whether ``module`` is ``pattern``, or under it for ``pkg.*``."""
+    if pattern.endswith(".*"):
+        package = pattern[:-2]
+        return module == package or module.startswith(package + ".")
+    return module == pattern
 
 
-@register
-class NoRawSerialisationRule(VisitorRule):
-    """Forbid raw artifact serialisation in ``repro`` library modules."""
+class SeamRule(VisitorRule):
+    """Flag one :class:`Seam` row's primitives in ``repro`` library code
+    outside the row's allowed modules."""
 
-    id = "OBS003"
-    title = "raw artifact serialisation in library code bypasses the registry"
-    rationale = (
-        "pickle.dump/np.save/joblib.dump in repro/ library modules produce "
-        "anonymous artifacts with no format version, provenance, or "
-        "registry entry; persist models through repro.models.io (and "
-        "register through repro.models.registry), traces through "
-        "repro.simulator.trace_io — the designated serialisation seams."
-    )
+    seam: Seam
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
-        if _serialisation_exempt(ctx.path):
+        module = module_name_for_path(ctx.path)
+        if not _within(module, "repro.*") or any(
+                _within(module, allowed) for allowed in self.seam.allowed):
             return []
         return super().check_file(ctx)
 
+    def _flag(self, node: ast.AST, what: str) -> None:
+        self.report(node, f"{what} in library code; {self.seam.hint}")
+
+    def _dotted(self, node: ast.AST) -> Optional[str]:
+        chain = attribute_chain(node)
+        if chain is None:
+            return None
+        head = self._ctx.import_aliases.get(chain[0], chain[0])
+        return ".".join((head,) + chain[1:])
+
     def visit_Call(self, node: ast.Call) -> None:
-        chain = attribute_chain(node.func)
-        if chain and len(chain) == 2 and chain[1] in \
-                _RAW_SERIALISERS.get(chain[0], ()):
-            self.report(
-                node,
-                f"{chain[0]}.{chain[1]}() in library code; write artifacts "
-                "through repro.models.io / repro.models.registry / "
-                "repro.simulator.trace_io",
-            )
+        dotted = self._dotted(node.func)
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if dotted in self.seam.calls:
+            self._flag(node, f"{dotted}()")
+        elif name in self.seam.call_names:
+            self._flag(node, f"{name}()")
         self.generic_visit(node)
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.level == 0 and node.module in ("pickle", "numpy", "joblib"):
-            forbidden = sorted(
-                alias.name for alias in node.names
-                if alias.name in _RAW_SERIALISERS[node.module]
-            )
-            if forbidden:
-                self.report(
-                    node,
-                    f"importing {', '.join(forbidden)} from {node.module} "
-                    "in library code; write artifacts through "
-                    "repro.models.io / repro.models.registry / "
-                    "repro.simulator.trace_io",
-                )
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        dotted = self._dotted(node) if self.seam.refs else None
+        if dotted in self.seam.refs:
+            self._flag(node, dotted)
         self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if node.value in self.seam.constants:
+            self._flag(node, repr(node.value))
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name in self.seam.refs:
+                self._flag(node, f"import {alias.name}")
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.level:
+            return
+        named = self.seam.calls | self.seam.refs
+        names = sorted(alias.name for alias in node.names
+                       if node.module in self.seam.refs
+                       or f"{node.module}.{alias.name}" in named)
+        if names:
+            self._flag(node,
+                       f"importing {', '.join(names)} from {node.module}")
+
+
+for _seam in SEAMS:
+    register(type(f"SeamRule{_seam.id}", (SeamRule,), {
+        "id": _seam.id, "title": _seam.title,
+        "rationale": _seam.rationale, "seam": _seam,
+    }))
 
 
 #: ``Path``/file-object methods that hit the filesystem synchronously.

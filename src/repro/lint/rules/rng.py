@@ -18,13 +18,7 @@ from __future__ import annotations
 import ast
 
 from repro.lint.core import VisitorRule, attribute_chain, register
-
-#: numpy.random attributes that create fresh, explicitly seeded state
-#: (allowed) rather than touching the hidden global generator (banned).
-_NP_RANDOM_ALLOWED = frozenset({
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64", "RandomState",
-})
+from repro.lint.semantic.summary import NP_RANDOM_ALLOWED
 
 #: stdlib ``random`` module functions that operate on the hidden global
 #: generator.  ``random.Random`` (the class) is allowed.
@@ -59,7 +53,7 @@ class GlobalRngRule(VisitorRule):
         # np.random.<fn>(...) / numpy.random.<fn>(...)
         if (len(chain) == 3 and chain[0] in ("np", "numpy")
                 and chain[1] == "random"
-                and chain[2] not in _NP_RANDOM_ALLOWED):
+                and chain[2] not in NP_RANDOM_ALLOWED):
             self.report(
                 node,
                 f"call to np.random.{chain[2]} uses the global NumPy RNG; "

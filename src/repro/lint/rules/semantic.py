@@ -1,10 +1,10 @@
-"""Semantic rules: DET001, MUT001, PAR001 and VEC001.
+"""Semantic rules: DET001, MUT001 and PAR001.
 
-These four project-scope rules consume the whole-program facts of
+These three project-scope rules consume the whole-program facts of
 :mod:`repro.lint.semantic` — the call graph, the nondeterminism
-witnesses, the cached-value alias facts, the pool-submission facts and
-the ndarray loop classifications.  They are the cross-module
-generalisation of the per-file contracts the repo already enforces:
+witnesses, the cached-value alias facts and the pool-submission facts.
+They are the cross-module generalisation of the per-file contracts the
+repo already enforces:
 
 * **DET001** — nothing transitively reachable from the cache-keyed
   simulation entry points (``SimulationRunner.metric`` and friends,
@@ -20,11 +20,6 @@ generalisation of the per-file contracts the repo already enforces:
   must be statically picklable; lambdas, nested functions, local classes
   and open handles fail only at runtime, on the worker, with an opaque
   traceback.
-* **VEC001** (severity *note*) — Python-level ``for`` loops over
-  ndarray-typed values in the hot-path modules named by the
-  ``benchmarks/perf`` targets, each reported with its trip-count
-  expression.  This is the mechanical worklist for ROADMAP item 2
-  ("vectorise the hot paths"); notes never fail a lint run.
 
 ``repro.obs`` is exempt from DET001 witnesses: it is the measurement
 seam (wall-clock spans, run manifests) and is nondeterministic by
@@ -47,16 +42,6 @@ DETERMINISM_ROOTS = (
     "SimulationRunner.power",
     "SimulationRunner._trace_fingerprint",
     "ProcessorConfig.key",
-)
-
-#: Hot-path files whose array loops form the ROADMAP item 2 worklist
-#: (path suffixes; the prof targets file *is* the benchmarks/perf code).
-HOT_PATH_SUFFIXES = (
-    "repro/simulator/cache.py",
-    "repro/simulator/hierarchy.py",
-    "repro/simulator/tlb.py",
-    "repro/models/rbf.py",
-    "repro/obs/prof/targets.py",
 )
 
 
@@ -107,7 +92,6 @@ class DeterminismRule(ProjectRule):
                     line=witness["line"], col=witness["col"],
                     message=(f"{witness['detail']} — reachable from a "
                              f"cache-keyed entry point via {chain}"),
-                    severity=self.severity,
                 ))
         return findings
 
@@ -139,7 +123,6 @@ class CacheMutationRule(ProjectRule):
                     message=(f"'{fact['var']}' aliases a cached value "
                              f"(from {fact['origin']}) and is mutated via "
                              f"{fact['how']}; copy before modifying"),
-                    severity=self.severity,
                 ))
         return findings
 
@@ -170,48 +153,5 @@ class PicklabilityRule(ProjectRule):
                     line=fact["line"], col=fact["col"],
                     message=(f"{fact['issue']} — arguments to "
                              f"{fact['site']} must be picklable"),
-                    severity=self.severity,
-                ))
-        return findings
-
-
-@register
-class VectorisationRule(ProjectRule):
-    """VEC001 (note): ndarray loops in hot-path modules, with trip counts."""
-
-    id = "VEC001"
-    title = "Python-level loop over an ndarray in a hot-path module"
-    severity = "note"
-    rationale = (
-        "The benchmarks/perf targets pin the modules where Python-level "
-        "element loops dominate; each one is a vectorisation candidate "
-        "(ROADMAP item 2) and is reported with its trip-count expression "
-        "so the worklist is mechanical."
-    )
-
-    def check(self, project) -> List[Finding]:
-        """Report array-typed loops in the hot-path modules as notes."""
-        graph = project.graph
-        array_returning = None  # computed lazily: most runs have no "call" loops
-        findings: List[Finding] = []
-        for qname in sorted(graph.functions):
-            path = graph.paths[qname]
-            if path not in project.linted_paths:
-                continue
-            if not path.endswith(HOT_PATH_SUFFIXES):
-                continue
-            for loop in graph.functions[qname]["loops"]:
-                if loop["kind"] == "call":
-                    if array_returning is None:
-                        array_returning = graph.ndarray_returning()
-                    if loop["target"] not in array_returning:
-                        continue
-                findings.append(Finding(
-                    rule=self.id, path=project.ctx_path(path),
-                    line=loop["line"], col=loop["col"],
-                    message=(f"Python-level loop over ndarray "
-                             f"'{loop['iter']}' (trip count: "
-                             f"{loop['trip']}) — vectorisation candidate"),
-                    severity=self.severity,
                 ))
         return findings

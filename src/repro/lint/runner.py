@@ -68,22 +68,8 @@ class LintResult:
 
     @property
     def ok(self) -> bool:
-        """Whether the run is clean: no live *error* findings.
-
-        Advisory ``note`` findings (e.g. the VEC001 vectorisation
-        worklist) are reported but never fail a run.
-        """
-        return not self.errors
-
-    @property
-    def errors(self) -> List[Finding]:
-        """Live findings that gate the exit code."""
-        return [f for f in self.findings if f.severity != "note"]
-
-    @property
-    def notes(self) -> List[Finding]:
-        """Live advisory findings (reported, never failing)."""
-        return [f for f in self.findings if f.severity == "note"]
+        """Whether the run is clean: no live findings."""
+        return not self.findings
 
     def counts_by_rule(self) -> Dict[str, int]:
         """Live finding counts keyed by rule id."""

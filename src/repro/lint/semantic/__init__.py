@@ -2,14 +2,14 @@
 
 This package gives project-scope rules a whole-program view: per-file
 module summaries (:mod:`~repro.lint.semantic.summary`), a call graph
-with method resolution and reachability/ndarray fixed points
+with method resolution and reachability
 (:mod:`~repro.lint.semantic.graph`), a content-hash fact cache
 (:mod:`~repro.lint.semantic.cache`), and the :class:`Project` facade the
 runner hands to each :class:`~repro.lint.core.ProjectRule`
 (:mod:`~repro.lint.semantic.project`).
 
-The four shipped semantic rules — DET001, MUT001, PAR001 and VEC001 —
-live in :mod:`repro.lint.rules.semantic` and consume this layer.
+The three shipped semantic rules — DET001, MUT001 and PAR001 — live in
+:mod:`repro.lint.rules.semantic` and consume this layer.
 """
 
 from repro.lint.semantic.cache import (

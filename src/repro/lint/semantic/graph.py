@@ -1,22 +1,18 @@
-"""Whole-program call graph and fixed-point passes over module summaries.
+"""Whole-program call graph over module summaries.
 
 :class:`CallGraph` stitches the per-file :data:`ModuleSummary` facts of
 :mod:`repro.lint.semantic.summary` into one program view: a function
 table keyed by qualified name, a class table for method resolution
 (following resolved base classes), and a call-edge relation.  On top of
-that it runs the two cross-module fixed points the semantic rules need:
-
-* :meth:`reachable` — breadth-first reachability from a set of root
-  functions, keeping one witness parent per reached node so DET001 can
-  print the full ``metric → helper → time.time()`` chain; and
-* :meth:`ndarray_returning` — the least fixed point of "returns an
-  ndarray": seeded by functions whose annotations or return expressions
-  prove it, closed over functions that return another member's call.
+that, :meth:`~CallGraph.reachable` computes breadth-first reachability
+from a set of root functions, keeping one witness parent per reached
+node so DET001 can print the full ``metric → helper → time.time()``
+chain.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.semantic.summary import ModuleSummary
 
@@ -87,7 +83,7 @@ class CallGraph:
         """Resolved ``(callee_qname, call_line)`` edges out of ``qname``."""
         return self._edges.get(qname, [])
 
-    # -- fixed points ------------------------------------------------------
+    # -- reachability ------------------------------------------------------
 
     def roots_matching(self, suffixes: Iterable[str]) -> List[str]:
         """Function qnames ending in one of ``suffixes`` (``.a.b`` match)."""
@@ -130,25 +126,3 @@ class CallGraph:
             seen.add(nxt)
         chain.reverse()
         return chain
-
-    def ndarray_returning(self) -> FrozenSet[str]:
-        """Least fixed point of functions known to return an ndarray."""
-        known: Set[str] = {
-            qname for qname, record in self.functions.items()
-            if record["returns_ndarray"]
-        }
-        changed = True
-        while changed:
-            changed = False
-            for qname, record in self.functions.items():
-                if qname in known:
-                    continue
-                for target in record["return_calls"]:
-                    resolved = target if target in self.functions else (
-                        self.resolve_method(target, "__init__")
-                        if target in self.classes else None)
-                    if resolved in known or target in known:
-                        known.add(qname)
-                        changed = True
-                        break
-        return frozenset(known)

@@ -3,7 +3,7 @@
 A project wraps the parsed :class:`~repro.lint.core.FileContext` set and
 exposes the semantic layer lazily: module summaries (through the fact
 cache when one is configured) and the :class:`CallGraph` are built on
-first access, then shared by every rule in the run — four semantic
+first access, then shared by every rule in the run — the semantic
 passes cost one analysis.
 
 ``graph_contexts`` can be a superset of ``contexts``: in ``--changed``

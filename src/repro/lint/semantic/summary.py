@@ -2,11 +2,11 @@
 
 One :data:`ModuleSummary` is extracted per source file and holds
 everything the project-wide passes need — resolved imports, class and
-function symbols, a call IR, nondeterminism witnesses, mutation and
-pickling facts, and ndarray-typed loops.  Summaries are plain
-JSON-serialisable dicts-of-primitives, which is what lets the
-whole-program fact cache (:mod:`repro.lint.semantic.cache`) key them by
-file content hash and replay them without re-parsing.
+function symbols, a call IR, nondeterminism witnesses, and mutation and
+pickling facts.  Summaries are plain JSON-serialisable
+dicts-of-primitives, which is what lets the whole-program fact cache
+(:mod:`repro.lint.semantic.cache`) key them by file content hash and
+replay them without re-parsing.
 
 The extraction is deliberately best-effort: anything it cannot resolve
 is recorded as unknown rather than guessed, so the downstream rules err
@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional
 from repro.lint.core import attribute_chain
 
 #: Bump to invalidate every cached summary when the extractor changes.
-EXTRACTOR_VERSION = 1
+EXTRACTOR_VERSION = 2
 
 #: JSON shape of one module's facts.
 ModuleSummary = Dict[str, Any]
@@ -52,8 +52,9 @@ _TIME_CALLS = frozenset({
     "datetime.datetime.now", "datetime.datetime.utcnow",
 })
 
-#: ``numpy.random`` attributes that construct fresh seeded state (allowed).
-_NP_RANDOM_ALLOWED = frozenset({
+#: ``numpy.random`` attributes that construct fresh seeded state (allowed);
+#: RNG001 bans every other ``np.random.<fn>`` call.
+NP_RANDOM_ALLOWED = frozenset({
     "default_rng", "Generator", "SeedSequence", "BitGenerator",
     "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64", "RandomState",
 })
@@ -76,32 +77,6 @@ _FSLIST_CALLS = frozenset({
 #: (``Path.iterdir`` / ``Path.rglob`` have no non-filesystem homonyms in
 #: this codebase; bare ``glob``/``walk`` attributes are too common to flag).
 _FSLIST_METHODS = frozenset({"iterdir", "rglob"})
-
-# -- ndarray type inference (VEC001 inputs) -----------------------------------
-
-#: ``numpy`` top-level callables returning arrays.
-_NP_ARRAY_CONSTRUCTORS = frozenset({
-    "array", "asarray", "asanyarray", "ascontiguousarray", "zeros", "ones",
-    "empty", "full", "zeros_like", "ones_like", "empty_like", "full_like",
-    "arange", "linspace", "logspace", "geomspace", "where", "concatenate",
-    "stack", "vstack", "hstack", "column_stack", "atleast_1d", "atleast_2d",
-    "atleast_3d", "sort", "argsort", "unique", "cumsum", "cumprod", "diff",
-    "maximum", "minimum", "clip", "abs", "exp", "log", "sqrt", "sin", "cos",
-    "power", "repeat", "tile", "fromiter", "frombuffer", "copy",
-})
-
-#: ``np.random.Generator`` methods returning arrays (with a size argument
-#: they can also return scalars; for loop detection array is the safe bet).
-_RNG_ARRAY_METHODS = frozenset({
-    "integers", "random", "normal", "uniform", "standard_normal", "choice",
-    "permutation", "permuted", "exponential", "poisson", "binomial",
-})
-
-#: ndarray methods that return another ndarray.
-_NDARRAY_CHAIN_METHODS = frozenset({
-    "copy", "ravel", "flatten", "reshape", "astype", "cumsum",
-    "clip", "round", "transpose", "squeeze",
-})
 
 # -- cached-value aliasing (MUT001 inputs) ------------------------------------
 
@@ -151,7 +126,7 @@ class _Scope:
         self.qname = qname
         #: local name -> dotted import target
         self.imports: Dict[str, str] = {}
-        #: local name -> type descriptor ("ndarray", "rng", class qname)
+        #: local name -> type descriptor ("rng" or a class qname)
         self.types: Dict[str, str] = {}
         #: local name -> qname of a def/class introduced in this scope
         self.defs: Dict[str, str] = {}
@@ -271,7 +246,7 @@ class _Extractor(ast.NodeVisitor):
         return ".".join((root,) + chain[1:])
 
     def infer_type(self, node: ast.AST) -> Optional[str]:
-        """Best-effort type of an expression: ndarray, rng, or class qname."""
+        """Best-effort type of an expression: rng or a class qname."""
         if isinstance(node, ast.Name):
             return self._lookup("types", node.id)
         if isinstance(node, ast.Attribute):
@@ -283,37 +258,20 @@ class _Extractor(ast.NodeVisitor):
                     if record is not None:
                         return record["attr_types"].get(chain[1])
             return None
-        if isinstance(node, ast.BinOp):
-            if "ndarray" in (self.infer_type(node.left),
-                             self.infer_type(node.right)):
-                return "ndarray"
-            return None
         if isinstance(node, ast.Call):
             return self._infer_call_type(node)
         return None
 
     def _infer_call_type(self, node: ast.Call) -> Optional[str]:
         dotted = self._resolve_dotted(node.func)
-        if dotted is not None:
-            parts = dotted.split(".")
-            if parts[0] == "numpy":
-                if dotted == "numpy.random.default_rng":
-                    return "rng"
-                if len(parts) == 2 and parts[1] in _NP_ARRAY_CONSTRUCTORS:
-                    return "ndarray"
-                return None
-            # Calling a CapWord dotted name yields an instance of that
-            # class; whether it really is a class is decided at graph time.
-            if parts[-1][:1].isupper():
-                return dotted
+        if dotted is None:
             return None
-        if isinstance(node.func, ast.Attribute):
-            recv_type = self.infer_type(node.func.value)
-            if recv_type == "rng" and node.func.attr in _RNG_ARRAY_METHODS:
-                return "ndarray"
-            if recv_type == "ndarray" \
-                    and node.func.attr in _NDARRAY_CHAIN_METHODS:
-                return "ndarray"
+        if dotted.startswith("numpy."):
+            return "rng" if dotted == "numpy.random.default_rng" else None
+        # Calling a CapWord dotted name yields an instance of that
+        # class; whether it really is a class is decided at graph time.
+        if dotted.rsplit(".", 1)[-1][:1].isupper():
+            return dotted
         return None
 
     def annotation_type(self, ann: Optional[ast.AST]) -> Optional[str]:
@@ -324,8 +282,6 @@ class _Extractor(ast.NodeVisitor):
             text = ann.value
         else:
             text = self._safe_unparse(ann)
-        if "ndarray" in text or "NDArray" in text:
-            return "ndarray"
         if text.endswith("random.Generator"):
             return "rng"
         if isinstance(ann, (ast.Name, ast.Attribute)):
@@ -390,9 +346,6 @@ class _Extractor(ast.NodeVisitor):
             "line": node.lineno,
             "calls": [],
             "witnesses": [],
-            "returns_ndarray": False,
-            "return_calls": [],
-            "loops": [],
             "par": [],
             "mut": [],
         }
@@ -421,8 +374,6 @@ class _Extractor(ast.NodeVisitor):
             atype = self.annotation_type(arg.annotation)
             if atype is not None:
                 scope.types[arg.arg] = atype
-        if self.annotation_type(node.returns) == "ndarray":
-            record["returns_ndarray"] = True
 
         self.scopes.append(scope)
         for child in node.body:
@@ -591,27 +542,10 @@ class _Extractor(ast.NodeVisitor):
         for child in node.body:
             self.visit(child)
 
-    def visit_Return(self, node: ast.Return) -> None:
-        self.generic_visit(node)
-        if self._record is None or node.value is None:
-            return
-        if self.infer_type(node.value) == "ndarray":
-            self._record["returns_ndarray"] = True
-        elif isinstance(node.value, ast.Call):
-            target = self._resolve_dotted(node.value.func) if isinstance(
-                node.value.func, (ast.Name, ast.Attribute)) else None
-            if target is not None:
-                self._record["return_calls"].append(target)
-
-    # -- loops: VEC001 candidates and order-dependence witnesses -----------
+    # -- loops: order-dependence witnesses ---------------------------------
 
     def visit_For(self, node: ast.For) -> None:
         self._check_order_dependence(node.iter)
-        entry = self._loop_entry(node.iter)
-        if entry is not None and self._record is not None:
-            entry["line"] = node.lineno
-            entry["col"] = node.col_offset
-            self._record["loops"].append(entry)
         self.generic_visit(node)
 
     def _visit_comprehension(self, node) -> None:
@@ -642,51 +576,6 @@ class _Extractor(ast.NodeVisitor):
             self._witness("dictorder", iter_node,
                           "iterating os.environ depends on process state")
 
-    def _loop_entry(self, iter_node: ast.AST) -> Optional[Dict[str, Any]]:
-        """Classify a ``for`` iterable; None when not provably an array."""
-        node = iter_node
-        # Unwrap enumerate/zip/reversed down to the first array-ish operand.
-        while (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in ("enumerate", "zip", "reversed")
-                and node.args):
-            if node.func.id == "zip":
-                for arg in node.args:
-                    if self.infer_type(arg) == "ndarray":
-                        node = arg
-                        break
-                else:
-                    node = node.args[0]
-            else:
-                node = node.args[0]
-        src = self._safe_unparse(node)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "range"):
-            if any(self._mentions_ndarray_extent(arg) for arg in node.args):
-                return {"kind": "ndarray", "iter": src,
-                        "trip": self._safe_unparse(node.args[-1])}
-            return None
-        if self.infer_type(node) == "ndarray":
-            return {"kind": "ndarray", "iter": src, "trip": f"len({src})"}
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, (ast.Name, ast.Attribute)):
-            target = self._resolve_dotted(node.func)
-            if target is not None:
-                return {"kind": "call", "target": target, "iter": src,
-                        "trip": f"len({src})"}
-        return None
-
-    def _mentions_ndarray_extent(self, node: ast.AST) -> bool:
-        """Whether ``node`` contains ``len(arr)`` / ``arr.shape[...]``."""
-        for sub in ast.walk(node):
-            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-                    and sub.func.id == "len" and sub.args
-                    and self.infer_type(sub.args[0]) == "ndarray"):
-                return True
-            if (isinstance(sub, ast.Attribute) and sub.attr == "shape"
-                    and self.infer_type(sub.value) == "ndarray"):
-                return True
-        return False
-
     # -- calls: IR, witnesses, MUT001 method mutations, PAR001 sites -------
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -705,7 +594,7 @@ class _Extractor(ast.NodeVisitor):
                         "line": node.lineno})
         elif isinstance(func, ast.Attribute):
             recv_type = self.infer_type(func.value)
-            if recv_type not in (None, "ndarray", "rng"):
+            if recv_type not in (None, "rng"):
                 self._emit({"kind": "method", "recv": recv_type,
                             "name": func.attr, "line": node.lineno})
             elif func.attr in _FSLIST_METHODS:
@@ -739,7 +628,7 @@ class _Extractor(ast.NodeVisitor):
             self._witness("fslist", node,
                           f"{dotted}() enumerates the filesystem")
         elif (len(parts) == 3 and parts[0] == "numpy" and parts[1] == "random"
-                and parts[2] not in _NP_RANDOM_ALLOWED):
+                and parts[2] not in NP_RANDOM_ALLOWED):
             self._witness("rng", node,
                           f"np.random.{parts[2]}() uses the global NumPy RNG")
         elif (len(parts) == 2 and parts[0] == "random"

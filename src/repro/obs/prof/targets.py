@@ -3,9 +3,8 @@
 One benchmark per pipeline hot path the profile analyzer keeps showing:
 synthetic-trace generation, end-to-end detailed simulation, the
 cache-hierarchy access loop inside it, regression-tree construction, AICc
-center selection, centered-L2 discrepancy scoring, the observability
-layer's own cross-process metrics merge, and the serving layer's batched
-provenance prediction.  Every input is seeded, so each
+center selection, centered-L2 discrepancy scoring, and the serving
+layer's batched provenance prediction.  Every input is seeded, so each
 benchmark's work metadata — counts and content hashes of what was
 computed — is identical run to run; only the wall/CPU/memory measurements
 vary.  That invariant is what makes ``BENCH_*.json`` files comparable
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof.bench import benchmark, stable_hash
 
 #: Root seed for every benchmark input; part of the work metadata.
@@ -241,34 +239,6 @@ def bench_serve_predict_batch(ctx):
             "centers": int(model.num_centers),
             "values_hash": stable_hash(prov.values.tolist()),
             "extrapolated": int(prov.extrapolated.sum()),
-        }
-
-    return work
-
-
-@benchmark("obs/metrics_merge", group="obs", tolerance=5.0)
-def bench_metrics_merge(ctx):
-    """Cross-process metrics-snapshot merge (the worker-funnel hot loop)."""
-    snapshots_count = ctx.scale(400, 100)
-    rng = np.random.default_rng(BENCH_SEED)
-    snapshots = []
-    for i in range(snapshots_count):
-        reg = MetricsRegistry()
-        reg.inc("sims", int(i % 7))
-        reg.set_gauge("depth", float(i % 5))
-        for v in rng.random(8):
-            reg.observe("lat", float(v))
-        snapshots.append(reg.snapshot())
-
-    def work():
-        parent = MetricsRegistry()
-        for snap in snapshots:
-            parent.merge(snap)
-        lat = parent.histogram("lat")
-        return {
-            "snapshots": int(snapshots_count),
-            "observations": int(lat.count),
-            "sum_hash": stable_hash(round(lat.total, 9)),
         }
 
     return work

@@ -1,4 +1,5 @@
-"""Shared fixtures: small design spaces, cheap synthetic responses, traces."""
+"""Shared fixtures: scratch store roots, small design spaces, cheap
+synthetic responses, traces."""
 
 from __future__ import annotations
 
@@ -9,6 +10,20 @@ from repro.core.design_space import DesignSpace, Parameter, paper_design_space
 from repro.simulator.config import ProcessorConfig
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import PROFILES
+
+
+@pytest.fixture(autouse=True)
+def _scratch_store_roots(tmp_path_factory, monkeypatch):
+    """Point the results and cache roots at a per-test scratch directory.
+
+    Without this, a test that runs a command or lints with the default
+    fact cache writes ledger records, registry entries and manifests into
+    the working tree's ``results/`` and ``.repro_cache/``.  Tests that
+    set or unset the variables themselves override this.
+    """
+    root = tmp_path_factory.mktemp("store")
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(root / "results"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
 
 
 @pytest.fixture

@@ -640,7 +640,7 @@ class TestReportCli:
 
 class TestBenchCli:
     def test_bench_appends_gated_ledger_record(self, results_env, capsys):
-        assert main(["bench", "obs/metrics_merge", "--quick",
+        assert main(["bench", "sampling/centered_l2", "--quick",
                      "--no-memory"]) == 0
         runs, _ = history.load_runs()
         record = runs[-1]
@@ -650,7 +650,7 @@ class TestBenchCli:
         assert "BENCH_" in record["artifact"]
 
     def test_bench_check_records_gate_verdict(self, results_env, capsys):
-        assert main(["bench", "obs/metrics_merge", "--quick", "--no-memory",
+        assert main(["bench", "sampling/centered_l2", "--quick", "--no-memory",
                      "--check"]) == 0
         record = history.load_runs()[0][-1]
         assert record["gate"] == {

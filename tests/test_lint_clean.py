@@ -1,10 +1,12 @@
 """Repo-wide lint gate: the shipped tree must be clean.
 
 This is the tier-1 enforcement point for the contracts in
-:mod:`repro.lint`: any PR that introduces a module-level RNG call, an
-ill-conditioned solve, a float equality, an unknown design-space
-parameter name, registry/harness drift, or an API-hygiene violation in
-``src/`` fails here — with the finding list in the assertion message.
+:mod:`repro.lint`: any change that introduces a module-level RNG call,
+an ill-conditioned solve, a float equality, an unknown design-space
+parameter name, registry/harness drift, an API-hygiene violation, or a
+side effect that goes around its seam (console, clock, artifact files,
+shared-file persistence, run records) in ``src/`` fails here — with the
+finding list in the assertion message.
 """
 
 import json
@@ -47,13 +49,16 @@ def test_shipped_baseline_is_empty():
 
 
 def test_benchmarks_and_examples_are_lint_clean():
-    # Harnesses and examples document the API; hold them to the same bar.
+    # Harnesses, examples and the end-to-end benchmark document the API
+    # and seed its measurements; hold them to the same bar.
     result = LintRunner().run([
         os.path.join(REPO_ROOT, "benchmarks"),
         os.path.join(REPO_ROOT, "examples"),
+        os.path.join(REPO_ROOT, "perfbench"),
     ])
     assert result.ok, (
-        f"new lint findings in benchmarks/examples:\n{_render(result.findings)}"
+        "new lint findings in benchmarks/examples/perfbench:\n"
+        f"{_render(result.findings)}"
     )
 
 

@@ -10,9 +10,11 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path, PurePosixPath
 
 import pytest
 
+import repro
 from repro.lint import Baseline, Finding, LintRunner, fingerprint
 from repro.lint.core import RULES, FileContext, parse_suppressions
 from repro.lint.reporters import render_json, render_text
@@ -20,14 +22,19 @@ from repro.lint.reporters import render_json, render_text
 
 def lint_source(tmp_path, source, filename="snippet.py", select=None,
                 extra_files=()):
-    """Write ``source`` (plus fixtures) under ``tmp_path`` and lint it all."""
-    target = tmp_path / filename
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(textwrap.dedent(source))
-    for rel, text in extra_files:
-        p = tmp_path / rel
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(textwrap.dedent(text))
+    """Write ``source`` (plus fixtures) under ``tmp_path`` and lint it all.
+
+    Directories from a ``repro`` component down get the ``__init__.py``
+    files of a real package, so the seam rules see dotted module names.
+    """
+    for rel, text in [(filename, source), *extra_files]:
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(text))
+        dirs = PurePosixPath(rel).parts[:-1]
+        if "repro" in dirs:
+            for depth in range(dirs.index("repro") + 1, len(dirs) + 1):
+                tmp_path.joinpath(*dirs[:depth], "__init__.py").touch()
     runner = LintRunner(select=set(select) if select else None)
     return runner.run([str(tmp_path)])
 
@@ -475,6 +482,131 @@ class TestOBS003:
         assert result.ok and len(result.suppressed) == 1
 
 
+#: The real seam modules, linted at another module path by the liveness
+#: checks below.
+SRC = Path(repro.__file__).resolve().parent
+
+
+def flagged(result):
+    """The primitive each finding names (the text before the hint)."""
+    return {f.message.split(" in library code;")[0] for f in result.findings}
+
+
+class TestOBS005:
+    def test_flags_every_store_primitive(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import fcntl
+            from os import replace
+            import os, tempfile
+            os.replace(a, b)
+            tempfile.mkstemp()
+            ROOT = os.environ.get('REPRO_RESULTS_DIR', 'results')
+            _ENV = 'REPRO_CACHE_DIR'
+            HELP = '$REPRO_CACHE_DIR or .cache'
+            """, filename="repro/core/persist.py", select={"OBS005"})
+        assert [f.line for f in result.findings] == [1, 2, 4, 5, 6, 7]
+
+    def test_the_store_uses_every_primitive_it_owns(self, tmp_path):
+        # Liveness: the rule still recognises what the real store does.
+        result = lint_source(
+            tmp_path, (SRC / "util" / "store.py").read_text("utf-8"),
+            filename="repro/core/store_copy.py", select={"OBS005"})
+        assert flagged(result) == {
+            "import fcntl", "os.replace",
+            "'REPRO_RESULTS_DIR'", "'REPRO_CACHE_DIR'",
+        }
+
+    def test_exempts_the_store_and_non_library_code(self, tmp_path):
+        result = lint_source(
+            tmp_path,
+            "import fcntl\nimport os\nos.replace('a', 'b')\n",
+            filename="repro/util/store.py",
+            select={"OBS005"},
+            extra_files=[
+                ("benchmarks/test_cache.py",
+                 "import os\nos.environ['REPRO_CACHE_DIR'] = 'x'\n"),
+            ],
+        )
+        assert result.ok
+
+    def test_inline_noqa_suppresses(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import fcntl  # repro: noqa[OBS005]
+            """, filename="repro/util/lock.py", select={"OBS005"})
+        assert result.ok and len(result.suppressed) == 1
+
+
+class TestOBS006:
+    def test_flags_every_writer_call_on_any_receiver(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            obs.write_manifest(path, manifest)
+            history.append_run(record)
+            append_run(record)
+            from repro.obs import write_manifest
+            """, filename="repro/core/record.py", select={"OBS006"})
+        assert [f.line for f in result.findings] == [1, 2, 3]
+
+    def test_the_ledger_calls_every_writer(self, tmp_path):
+        # Liveness: the rule still recognises what the real ledger does.
+        result = lint_source(
+            tmp_path,
+            (SRC / "obs" / "history" / "ledger.py").read_text("utf-8"),
+            filename="repro/core/ledger_copy.py", select={"OBS006"})
+        assert flagged(result) == {"append_run()", "write_manifest()"}
+
+    def test_inline_noqa_suppresses(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            def record(history, r):
+                history.append_run(r)  # repro: noqa[OBS006]
+            """, filename="repro/core/record.py", select={"OBS006"})
+        assert result.ok and len(result.suppressed) == 1
+
+
+class TestSeamScope:
+    # Library code is the ``repro`` package, found by walking the
+    # ``__init__.py`` chain; directory names elsewhere in the path
+    # decide nothing.
+
+    def test_script_under_a_directory_named_repro_is_not_library(
+            self, tmp_path):
+        script = tmp_path / "repro" / "examples" / "x.py"
+        script.parent.mkdir(parents=True)
+        script.write_text('print("cpi table")\n')
+        result = LintRunner(select={"OBS001"}).run([str(script)])
+        assert result.ok
+
+    def test_package_under_a_directory_named_obs_is_library(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import time
+
+            def work():
+                print("progress")
+                return time.perf_counter()
+            """, filename="obs/proj/repro/core/x.py",
+            select={"OBS001", "OBS002"})
+        assert rule_ids(result) == ["OBS001", "OBS002"]
+
+    def test_only_the_named_front_ends_own_the_console(self, tmp_path):
+        result = lint_source(tmp_path, 'print("usage")\n',
+                             filename="repro/simulator/cli.py",
+                             select={"OBS001"})
+        assert rule_ids(result) == ["OBS001"]
+
+    def test_aliased_imports_do_not_get_past_the_seams(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import os as _os
+            import pickle as pk
+            import time as clock
+
+            def stash(obj, fh, a, b):
+                _os.replace(a, b)
+                pk.dump(obj, fh)
+                return clock.perf_counter()
+            """, filename="repro/core/demo.py",
+            select={"OBS002", "OBS003", "OBS005"})
+        assert rule_ids(result) == ["OBS002", "OBS003", "OBS005"]
+
+
 class TestOBS004:
     def test_flags_blocking_calls_reachable_from_async(self, tmp_path):
         result = lint_source(tmp_path, """\
@@ -605,7 +737,8 @@ class TestFramework:
 
     def test_every_rule_has_id_title_and_docs(self):
         expected = {"RNG001", "NUM001", "NUM002", "DS001", "REG001",
-                    "API001", "API002", "OBS001", "OBS004"}
+                    "API001", "API002", "OBS001", "OBS002", "OBS003",
+                    "OBS004", "OBS005", "OBS006"}
         assert expected <= set(RULES)
         for rule_id, cls in RULES.items():
             assert cls.title, rule_id
@@ -652,7 +785,8 @@ class TestCli:
         listing = self._run("--list-rules")
         assert listing.returncode == 0
         for rule_id in ("RNG001", "NUM001", "NUM002", "DS001", "REG001",
-                        "API001", "API002", "OBS001", "OBS004"):
+                        "API001", "API002", "OBS001", "OBS004", "OBS005",
+                        "OBS006"):
             assert rule_id in listing.stdout
 
     def test_missing_path_is_usage_error(self):

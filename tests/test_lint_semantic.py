@@ -1,4 +1,4 @@
-"""Tests for the project-wide semantic analysis layer and its four rules.
+"""Tests for the project-wide semantic analysis layer and its three rules.
 
 Each rule gets fixture packages with positive, negative and cross-module
 cases; the acceptance contract is that every pass fires *across a call
@@ -30,7 +30,7 @@ from repro.lint.semantic import (
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 
-SEMANTIC_RULES = {"DET001", "MUT001", "PAR001", "VEC001"}
+SEMANTIC_RULES = {"DET001", "MUT001", "PAR001"}
 
 
 def lint_tree(tmp_path, files, select=SEMANTIC_RULES):
@@ -304,103 +304,6 @@ class TestPAR001:
         assert rule_ids(result) == []
 
 
-# -- VEC001 ----------------------------------------------------------------
-
-
-HOT_INIT = {
-    "repro/__init__.py": "",
-    "repro/simulator/__init__.py": "",
-}
-
-
-class TestVEC001:
-    def test_loop_over_constructed_array_in_hot_module(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            **HOT_INIT,
-            "repro/simulator/cache.py": """\
-                import numpy as np
-
-                def walk(n):
-                    addrs = np.arange(n)
-                    total = 0
-                    for a in addrs:
-                        total += int(a)
-                    return total
-                """,
-        })
-        assert rule_ids(result) == ["VEC001"]
-        finding = result.findings[0]
-        assert finding.severity == "note"
-        assert "trip count: len(addrs)" in finding.message
-        assert result.ok  # notes never fail a run
-
-    def test_cross_module_return_type_via_call_graph(self, tmp_path):
-        # make_grid's ndarray-ness is only visible through the call graph.
-        result = lint_tree(tmp_path, {
-            **HOT_INIT,
-            "repro/simulator/grid.py": """\
-                import numpy as np
-
-                def make_grid():
-                    return np.linspace(0.0, 1.0, 64)
-                """,
-            "repro/simulator/cache.py": """\
-                from repro.simulator.grid import make_grid
-
-                def consume():
-                    out = []
-                    for v in make_grid():
-                        out.append(v * 2)
-                    return out
-                """,
-        })
-        assert rule_ids(result) == ["VEC001"]
-        assert result.findings[0].path.endswith("cache.py")
-
-    def test_annotated_parameter_and_range_over_len(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            **HOT_INIT,
-            "repro/simulator/tlb.py": """\
-                import numpy as np
-
-                def scan(pages: np.ndarray):
-                    hits = 0
-                    for i in range(len(pages)):
-                        hits += int(pages[i])
-                    return hits
-                """,
-        })
-        assert rule_ids(result) == ["VEC001"]
-        assert "len(pages)" in result.findings[0].message
-
-    def test_loops_outside_hot_modules_are_silent(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            **HOT_INIT,
-            "repro/simulator/report.py": """\
-                import numpy as np
-
-                def render(values):
-                    arr = np.asarray(values)
-                    for v in arr:
-                        print(v)
-                """,
-        })
-        assert rule_ids(result) == []
-
-    def test_list_loops_in_hot_modules_are_silent(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            **HOT_INIT,
-            "repro/simulator/cache.py": """\
-                def walk(lines):
-                    total = 0
-                    for line in lines:
-                        total += line
-                    return total
-                """,
-        })
-        assert rule_ids(result) == []
-
-
 # -- real-tree contracts ---------------------------------------------------
 
 
@@ -412,47 +315,6 @@ def src_project():
         with open(path, "r", encoding="utf-8") as fh:
             contexts.append(FileContext.from_source(path, fh.read()))
     return build_project(contexts)
-
-
-def test_vec001_emits_the_roadmap_worklist(src_project):
-    from repro.lint.rules.semantic import VectorisationRule
-
-    findings = VectorisationRule().check(src_project)
-    assert findings, "known hot loops must appear in the VEC001 worklist"
-    paths = {os.path.relpath(f.path, REPO_ROOT).replace(os.sep, "/")
-             for f in findings}
-    assert "src/repro/models/rbf.py" in paths
-    assert "src/repro/obs/prof/targets.py" in paths
-    for finding in findings:
-        assert finding.severity == "note"
-        assert finding.line > 0
-        assert "trip count" in finding.message
-
-
-#: The VEC001 worklist may only shrink.  PR 7 vectorised the cache/TLB
-#: access path, leaving exactly these two deliberate scalar loops: the
-#: RBFNetwork.describe() rendering loop and the metrics-merge fixture
-#: setup in the bench targets.  Vectorising one lowers the ceiling;
-#: adding a new ndarray loop to a hot-path module fails this gate.
-VEC001_CEILING = 2
-VEC001_ALLOWED_FILES = {
-    "src/repro/models/rbf.py",
-    "src/repro/obs/prof/targets.py",
-}
-
-
-def test_vec001_worklist_only_shrinks(src_project):
-    from repro.lint.rules.semantic import VectorisationRule
-
-    findings = VectorisationRule().check(src_project)
-    rendered = "\n".join(f"{f.path}:{f.line} {f.message}" for f in findings)
-    assert len(findings) <= VEC001_CEILING, (
-        f"VEC001 worklist grew past {VEC001_CEILING}; vectorise the new "
-        f"loop (or take the scalar-oracle fallback shape):\n{rendered}"
-    )
-    paths = {os.path.relpath(f.path, REPO_ROOT).replace(os.sep, "/")
-             for f in findings}
-    assert paths <= VEC001_ALLOWED_FILES, rendered
 
 
 def test_call_graph_resolves_every_perf_target(src_project):
@@ -474,7 +336,7 @@ def test_call_graph_resolves_every_perf_target(src_project):
 
 def test_src_tree_has_no_semantic_errors(src_project):
     # Empty-baseline discipline extends to the semantic passes: no live
-    # DET001/MUT001/PAR001 anywhere in src (VEC001 notes are expected).
+    # DET001/MUT001/PAR001 anywhere in src.
     from repro.lint.rules.semantic import (
         CacheMutationRule,
         DeterminismRule,
@@ -644,16 +506,6 @@ class TestSarif:
     def test_round_trip_validates_against_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         result = lint_tree(tmp_path, {
-            **HOT_INIT,
-            "repro/simulator/cache.py": """\
-                import numpy as np
-
-                def walk(n):
-                    total = 0
-                    for a in np.arange(n):
-                        total += int(a)
-                    return total
-                """,
             "fan.py": """\
                 from concurrent.futures import ProcessPoolExecutor
 
@@ -667,7 +519,7 @@ class TestSarif:
         # And through json round-trip (what --format sarif writes).
         doc = json.loads(json.dumps(doc))
         levels = {r["ruleId"]: r["level"] for r in doc["runs"][0]["results"]}
-        assert levels == {"PAR001": "error", "VEC001": "note"}
+        assert levels == {"PAR001": "error"}
         cols = [r["locations"][0]["physicalLocation"]["region"]["startColumn"]
                 for r in doc["runs"][0]["results"]]
         assert all(c >= 1 for c in cols)
@@ -768,7 +620,6 @@ def test_module_name_walks_init_chains(tmp_path):
 def test_semantic_rules_are_registered():
     from repro.lint.core import RULES, ProjectRule
 
-    for rule_id in SEMANTIC_RULES:
-        assert rule_id in RULES
-        assert issubclass(RULES[rule_id], ProjectRule)
-    assert RULES["VEC001"].severity == "note"
+    project_rules = {rule_id for rule_id, cls in RULES.items()
+                     if issubclass(cls, ProjectRule)}
+    assert project_rules == SEMANTIC_RULES | {"REG001"}

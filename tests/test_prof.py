@@ -190,7 +190,7 @@ class TestBenchHarness:
                 "sampling/centered_l2"} <= names
 
     def test_work_metadata_identical_across_runs(self):
-        subset = ["sampling/centered_l2", "obs/metrics_merge",
+        subset = ["sampling/centered_l2", "serve/predict_batch",
                   "model/tree_build"]
         first = prof.run_benchmarks(names=subset, quick=True,
                                     measure_memory=False)
@@ -200,17 +200,17 @@ class TestBenchHarness:
 
     def test_bench_spans_land_in_active_trace(self):
         with obs.collecting() as col:
-            prof.run_benchmarks(names=["obs/metrics_merge"], quick=True,
+            prof.run_benchmarks(names=["sampling/centered_l2"], quick=True,
                                 measure_memory=False)
         names = [s.name for root in col.roots for s in root.walk()]
-        assert "bench/obs/metrics_merge" in names
+        assert "bench/sampling/centered_l2" in names
         assert col.metrics.counter("bench/benchmarks_run") == 1.0
 
 
 def fast_results(quick=True):
     """Results from the two cheapest real benchmarks (milliseconds)."""
     return prof.run_benchmarks(
-        names=["sampling/centered_l2", "obs/metrics_merge"],
+        names=["sampling/centered_l2", "serve/predict_batch"],
         quick=quick, measure_memory=False)
 
 
@@ -316,7 +316,7 @@ class TestBenchCLI:
         code = cli_main([
             "bench", "--quick", "--no-memory", "--check",
             "--baseline", str(tightened),
-            "sampling/centered_l2", "obs/metrics_merge",
+            "sampling/centered_l2", "serve/predict_batch",
         ])
         assert code == 1
         out = capsys.readouterr().out
@@ -328,12 +328,12 @@ class TestBenchCLI:
         target = tmp_path / "baseline.json"
         code = cli_main([
             "bench", "--quick", "--no-memory", "--update-baseline",
-            "--baseline", str(target), "obs/metrics_merge",
+            "--baseline", str(target), "sampling/centered_l2",
         ])
         assert code == 0 and target.exists()
         code = cli_main([
             "bench", "--quick", "--no-memory", "--check",
-            "--baseline", str(target), "obs/metrics_merge",
+            "--baseline", str(target), "sampling/centered_l2",
         ])
         assert code == 0
 

@@ -3,13 +3,14 @@
 Covers what the store promises its writers (the simulation cache, the
 run ledger, the model registry index, the run manifest) and the trace
 sink: a file that fails to read is never replaced, corrupt content is
-quarantined with its bytes intact, a writer killed at any point keeps
-every record it acknowledged, no other module re-implements the
-locking, atomic replace or result-root resolution, and run records are
-written only through :func:`repro.obs.history.record_run`.
+quarantined with its bytes intact, and a writer killed at any point
+keeps every record it acknowledged.  That no other module re-implements
+the locking, atomic replace or result-root resolution, and that run
+records are written only through :func:`repro.obs.history.record_run`,
+are the seam-table lint rules OBS005 and OBS006, enforced on the tree
+by ``tests/test_lint_clean.py``.
 """
 
-import ast
 import errno
 import multiprocessing
 import os
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro
 from repro import obs
 from repro.cli import main as cli_main
 from repro.core.design_space import paper_design_space
@@ -295,96 +295,3 @@ def test_killed_writer_keeps_acknowledged_records(tmp_path, kind, kill):
         fresh = WRITERS[kind](tmp_path)
         acked.append(fresh.write(2))
         fresh.check(acked)
-
-
-# -- one implementation per mechanism -----------------------------------------
-
-SRC = Path(repro.__file__).resolve().parent
-STORE = SRC / "util" / "store.py"
-ENV_NAMES = {"REPRO_RESULTS_DIR", "REPRO_CACHE_DIR"}
-
-
-def seam_breaches(tree):
-    """``(line, what)`` for each persistence primitive used in ``tree``.
-
-    The environment variable names count wherever they appear as a string
-    constant, so a module cannot read them through an alias either.
-    """
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "fcntl":
-                    yield node.lineno, "import fcntl"
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if (node.module == "fcntl"
-                        or (node.module, alias.name) in {("os", "replace"),
-                                                         ("tempfile", "mkstemp")}):
-                    yield node.lineno, f"from {node.module} import {alias.name}"
-        elif (isinstance(node, ast.Attribute)
-              and isinstance(node.value, ast.Name)
-              and (node.value.id, node.attr) in {("os", "replace"),
-                                                 ("tempfile", "mkstemp")}):
-            yield node.lineno, f"{node.value.id}.{node.attr}"
-        elif isinstance(node, ast.Constant) and node.value in ENV_NAMES:
-            yield node.lineno, f"${node.value}"
-
-
-def test_guard_flags_every_primitive():
-    tree = ast.parse(
-        "import fcntl\n"
-        "from os import replace\n"
-        "import os, tempfile\n"
-        "os.replace(a, b)\n"
-        "tempfile.mkstemp()\n"
-        "ROOT = os.environ.get('REPRO_RESULTS_DIR', 'results')\n"
-        "_ENV = 'REPRO_CACHE_DIR'\n"
-    )
-    assert sorted(line for line, _ in seam_breaches(tree)) == [1, 2, 4, 5, 6, 7]
-    assert not list(seam_breaches(ast.parse("'$REPRO_CACHE_DIR or .cache'")))
-
-
-def test_persistence_primitives_live_only_in_the_store():
-    breaches = [
-        f"{path.relative_to(SRC.parent)}:{line}: {what}"
-        for path in sorted(SRC.rglob("*.py")) if path != STORE
-        for line, what in seam_breaches(ast.parse(path.read_text("utf-8")))
-    ]
-    assert breaches == []
-    assert list(seam_breaches(ast.parse(STORE.read_text("utf-8"))))
-
-
-LEDGER = SRC / "obs" / "history" / "ledger.py"
-RECORD_WRITERS = {"append_run", "write_manifest"}
-
-
-def record_writes(tree):
-    """``(line, name)`` for each call to a run-record writer in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = (func.attr if isinstance(func, ast.Attribute)
-                    else getattr(func, "id", None))
-            if name in RECORD_WRITERS:
-                yield node.lineno, name
-
-
-def test_record_guard_flags_every_writer_call():
-    tree = ast.parse(
-        "obs.write_manifest(path, manifest)\n"
-        "history.append_run(record)\n"
-        "append_run(record)\n"
-        "from repro.obs import write_manifest\n"
-    )
-    assert sorted(line for line, _ in record_writes(tree)) == [1, 2, 3]
-
-
-def test_run_records_are_written_only_by_the_ledger():
-    breaches = [
-        f"{path.relative_to(SRC.parent)}:{line}: {name}()"
-        for path in sorted(SRC.rglob("*.py")) if path != LEDGER
-        for line, name in record_writes(ast.parse(path.read_text("utf-8")))
-    ]
-    assert breaches == []
-    assert sorted(name for _, name in record_writes(
-        ast.parse(LEDGER.read_text("utf-8")))) == sorted(RECORD_WRITERS)
