@@ -2,7 +2,7 @@
 
 One benchmark per pipeline hot path the profile analyzer keeps showing:
 synthetic-trace generation, end-to-end detailed simulation, the
-cache-hierarchy access loop inside it, regression-tree construction, AICc
+memory-access path inside it, regression-tree construction, AICc
 center selection, centered-L2 discrepancy scoring, and the serving
 layer's batched provenance prediction.  Every input is seeded, so each
 benchmark's work metadata — counts and content hashes of what was
@@ -103,28 +103,44 @@ def bench_attribution(ctx):
 
 @benchmark("sim/cache_hierarchy", group="simulator", tolerance=5.0)
 def bench_cache_hierarchy(ctx):
-    """The scalar data-load loop the simulator runs: one
-    ``MemoryHierarchy.load`` call per access, in program order, as
-    ``ooo_core`` issues them."""
+    """The memory-access path as the simulator runs it: a seeded load/store
+    trace through ``OutOfOrderCore.run`` at the default config, so every
+    load and store takes the core's D-L1 probe and only its misses (and
+    instruction fetch) enter the ``MemoryHierarchy``."""
+    from repro.simulator import isa
     from repro.simulator.config import ProcessorConfig
-    from repro.simulator.hierarchy import MemoryHierarchy
+    from repro.simulator.ooo_core import OutOfOrderCore
+    from repro.simulator.trace import Trace
 
     accesses = ctx.scale(8000, 2000)
     rng = np.random.default_rng(BENCH_SEED)
-    # A mix of a hot working set and a cold streaming tail, so the loop
-    # exercises hits, misses and fills rather than a single steady state.
-    hot = rng.integers(0, 1 << 16, size=accesses) << 6
+    # A mix of a hot working set (16 KiB, inside the default 32 KiB D-L1)
+    # and a cold streaming tail, so the loop exercises L1 hits, L2 hits
+    # and memory fills rather than a single steady state.
+    hot = rng.integers(1, 1 << 8, size=accesses) << 6
     cold = (rng.integers(0, 1 << 24, size=accesses) << 6) | (1 << 33)
     pick_cold = rng.random(accesses) < 0.2
-    stream = list(zip(np.where(pick_cold, cold, hot).tolist(),
-                      np.arange(accesses, dtype=float).tolist()))
+    is_store = rng.random(accesses) < 0.3
+    trace = Trace(
+        op=np.where(is_store, isa.STORE, isa.LOAD).astype(np.int8),
+        src1=np.zeros(accesses, dtype=np.int32),
+        src2=np.zeros(accesses, dtype=np.int32),
+        addr=np.where(pick_cold, cold, hot).astype(np.int64),
+        pc=0x400000 + 4 * np.arange(accesses, dtype=np.int64),
+        taken=np.zeros(accesses, dtype=bool),
+        name="cache_hierarchy",
+    )
+    config = ProcessorConfig()
 
     def work():
-        hierarchy = MemoryHierarchy(ProcessorConfig())
-        total = sum([hierarchy.load(addr, time) for addr, time in stream])
+        core = OutOfOrderCore(config)
+        result = core.run(trace)
+        hier = core.hierarchy
         return {
             "accesses": int(accesses),
-            "latency_hash": stable_hash(total),
+            "cpi_hash": stable_hash(result.cpi),
+            "misses_hash": stable_hash(
+                [hier.il1.misses, hier.dl1.misses, hier.l2.misses]),
         }
 
     return work

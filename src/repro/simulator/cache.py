@@ -33,12 +33,8 @@ class Cache:
         Label used in statistics.
     """
 
-    __slots__ = ("name", "line_bits", "num_sets", "assoc", "_sets", "accesses",
-                 "misses", "track_dirty", "_dirty", "writebacks", "last_writeback",
-                 "policy", "_victim_state")
-
-    #: Supported replacement policies.
-    POLICIES = ("lru", "fifo", "random")
+    __slots__ = ("name", "line_bits", "num_sets", "assoc", "sets", "accesses",
+                 "misses", "track_dirty", "_dirty", "writebacks", "last_writeback")
 
     def __init__(
         self,
@@ -47,10 +43,7 @@ class Cache:
         assoc: int,
         name: str = "cache",
         track_dirty: bool = False,
-        policy: str = "lru",
     ):
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; choose from {self.POLICIES}")
         if size_kb < 1:
             raise ValueError("size_kb must be >= 1")
         if not _is_pow2(line_size):
@@ -71,8 +64,9 @@ class Cache:
         self.line_bits = line_size.bit_length() - 1
         self.num_sets = num_sets
         self.assoc = assoc
-        # Each set is an LRU-ordered list of tags; index -1 = most recent.
-        self._sets: List[List[int]] = [[] for _ in range(num_sets)]
+        #: Each set is an LRU-ordered list of line ids; index -1 = most
+        #: recent.  The OoO core probes the D-L1's lists in place.
+        self.sets: List[List[int]] = [[] for _ in range(num_sets)]
         self.accesses = 0
         self.misses = 0
         # Dirty-line (writeback) tracking — used only when the hierarchy's
@@ -80,10 +74,6 @@ class Cache:
         self.track_dirty = track_dirty
         self._dirty = [set() for _ in range(num_sets)] if track_dirty else None
         self.writebacks = 0
-        self.policy = policy
-        # Deterministic xorshift state for the "random" policy (seeded by
-        # geometry so two identical caches behave identically).
-        self._victim_state = (num_sets * 2654435761 + assoc) & 0xFFFFFFFF or 1
         #: Line-aligned address of the dirty line evicted by the most
         #: recent miss, or -1 (valid only with ``track_dirty``).
         self.last_writeback = -1
@@ -111,7 +101,7 @@ class Cache:
         line = addr >> self.line_bits
         set_idx = line & (self.num_sets - 1)
         tag = line >> 0  # full line id doubles as tag (set bits are redundant)
-        ways = self._sets[set_idx]
+        ways = self.sets[set_idx]
         self.accesses += 1
         dirty = self._dirty[set_idx] if self.track_dirty else None
         try:
@@ -121,7 +111,7 @@ class Cache:
             if self.track_dirty:
                 self.last_writeback = -1
             if len(ways) >= self.assoc:
-                victim = ways.pop(self._victim_index(len(ways)))
+                victim = ways.pop(0)  # least recently used
                 if dirty is not None and victim in dirty:
                     dirty.discard(victim)
                     self.writebacks += 1
@@ -130,29 +120,16 @@ class Cache:
             if dirty is not None and write:
                 dirty.add(tag)
             return False
-        if self.policy == "lru":
-            ways.pop(idx)
-            ways.append(tag)  # move to MRU (FIFO/random leave order alone)
+        ways.pop(idx)
+        ways.append(tag)  # move to MRU
         if dirty is not None and write:
             dirty.add(tag)
         return True
 
-    def _victim_index(self, occupancy: int) -> int:
-        """Index of the way to evict under the configured policy."""
-        if self.policy == "random":
-            # Deterministic xorshift32 stream.
-            x = self._victim_state
-            x ^= (x << 13) & 0xFFFFFFFF
-            x ^= x >> 17
-            x ^= (x << 5) & 0xFFFFFFFF
-            self._victim_state = x
-            return x % occupancy
-        return 0  # LRU order or FIFO insertion order: oldest is first
-
     def probe(self, addr: int) -> bool:
         """Check residency without updating LRU or statistics."""
         line = addr >> self.line_bits
-        ways = self._sets[line & (self.num_sets - 1)]
+        ways = self.sets[line & (self.num_sets - 1)]
         return line in ways
 
     @property

@@ -88,6 +88,7 @@ class ProcessorConfig:
         positive = (
             "pipe_depth rob_size iq_size lsq_size l2_size_kb l2_lat "
             "il1_size_kb dl1_size_kb dl1_lat fetch_width commit_width "
+            "l2_capacity_scale "
             "num_ialu num_imult num_fp num_mem_ports"  # a pool needs a unit
         ).split()
         for name in positive:

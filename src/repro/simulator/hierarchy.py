@@ -2,11 +2,12 @@
 
 Composes :class:`~repro.simulator.cache.Cache`,
 :class:`~repro.simulator.memctrl.MemoryController` and
-:class:`~repro.simulator.dram.DRAM` into the three access paths the core
-needs: instruction fetch, data load and data store.  In-flight L2 line fills
-are tracked MSHR-style so that a second miss to a line already being fetched
-merges with the outstanding fill instead of issuing a duplicate memory
-request.
+:class:`~repro.simulator.dram.DRAM` into the access paths the core needs:
+instruction fetch, data load and data store, plus the L1-miss entry
+(:meth:`MemoryHierarchy.l1_miss`) that serves the core's own D-L1 probe on
+machines without the extensions below.  In-flight L2 line fills are tracked
+MSHR-style so that a second miss to a line already being fetched merges
+with the outstanding fill instead of issuing a duplicate memory request.
 
 Substrate extensions (all disabled in the paper-reproduction machine, see
 :class:`~repro.simulator.config.ProcessorConfig`):
@@ -74,7 +75,8 @@ class MemoryHierarchy:
         self.prefetch_fills = 0
         #: Level that serviced the most recent access routed through the
         #: L1D/L2 path ("dl1", "l2" or "dram").  Cycle attribution reads
-        #: it immediately after :meth:`load`; it is only meaningful there.
+        #: it immediately after :meth:`load` or :meth:`l1_miss`; it is
+        #: only meaningful there.
         self.last_level = "dl1"
 
     # -- internals ---------------------------------------------------------
@@ -103,9 +105,16 @@ class MemoryHierarchy:
                     del inflight[stale_line]
         return done
 
-    def _l2_access(self, addr: int, time: float, write: bool = False) -> float:
-        """L2 lookup at ``time``; returns data-ready time."""
-        if self.l2.access(addr, write=write):
+    def l1_miss(self, addr: int, time: float) -> float:
+        """Service an L1 miss whose L2 lookup starts at ``time``.
+
+        L2 lookup, then on an L2 miss an MSHR merge with an in-flight fill
+        or a memory-controller/DRAM access; returns the data-ready time and
+        leaves the servicing level in :attr:`last_level`.  :meth:`fetch`,
+        :meth:`load` and :meth:`store` end here on a miss, and so does the
+        core's own D-L1 probe (see :mod:`repro.simulator.ooo_core`).
+        """
+        if self.l2.access(addr):
             self.last_level = "l2"
             return time + self.config.l2_lat
         self._drain_writeback(self.l2, time)
@@ -148,7 +157,7 @@ class MemoryHierarchy:
             return time
         if self.nextline is not None:
             self._prefetch_into_l2(self.nextline.on_miss(pc), time)
-        return self._l2_access(pc, time)
+        return self.l1_miss(pc, time)
 
     def load(self, addr: int, time: float, pc: int = 0) -> float:
         """Data load issued at ``time``; returns data-ready time."""
@@ -160,7 +169,7 @@ class MemoryHierarchy:
             self.last_level = "dl1"
             return time + self.config.dl1_lat
         self._drain_writeback(self.dl1, time)
-        return self._l2_access(addr, time + self.config.dl1_lat)
+        return self.l1_miss(addr, time + self.config.dl1_lat)
 
     def store(self, addr: int, time: float, pc: int = 0) -> float:
         """Data store performed at ``time`` (post-commit, write-allocate).
@@ -176,7 +185,7 @@ class MemoryHierarchy:
         if self.dl1.access(addr, write=True):
             return time + self.config.dl1_lat
         self._drain_writeback(self.dl1, time)
-        return self._l2_access(addr, time + self.config.dl1_lat)
+        return self.l1_miss(addr, time + self.config.dl1_lat)
 
     def stats(self) -> Dict[str, float]:
         """Per-structure access/miss statistics."""

@@ -20,6 +20,15 @@ constraints:
 * **Commit**: in order, ``commit_width`` per cycle; stores update the data
   cache after commit.
 
+On a machine without TLBs, prefetchers or writeback traffic (every point
+of the paper's space) the loop probes the D-L1 set list itself, for each
+load that does not forward and each store after commit: true LRU exactly
+as :meth:`Cache.access <repro.simulator.cache.Cache.access>`, entering the
+hierarchy only on a miss, through :meth:`MemoryHierarchy.l1_miss`.  Any of
+those extensions routes loads and stores through
+:meth:`MemoryHierarchy.load`/``store`` instead; instruction fetch always
+goes through :meth:`MemoryHierarchy.fetch`.
+
 Mispredicted branches redirect the front end when they *resolve*
 (completion), so the misprediction penalty scales with both pipeline depth
 and the latency of the dependence chain feeding the branch — the key
@@ -99,6 +108,11 @@ class OutOfOrderCore:
             "forwarded": self.forwarded_loads,
         }
 
+    def _add_dl1_counts(self, accesses: int, misses: int) -> None:
+        """Fold the loop's own D-L1 probe counts into the cache's counters."""
+        self.hierarchy.dl1.accesses += accesses
+        self.hierarchy.dl1.misses += misses
+
     def run(
         self,
         trace: Trace,
@@ -173,6 +187,14 @@ class OutOfOrderCore:
         fu_free = fu_pools(cfg)
         fu_interval = [op_timing[op][1] for op in range(isa.NUM_OP_CLASSES)]
         load_op, store_op = isa.LOAD, isa.STORE
+        # D-L1 probe state (see the module docstring); the counts fold into
+        # the cache at the warmup boundary and at the end of the run.
+        probe_dl1 = not (cfg.enable_tlb or cfg.enable_nextline_prefetch
+                         or cfg.enable_stride_prefetch or cfg.writeback)
+        dl1_sets, dl1_mask = hier.dl1.sets, hier.dl1.num_sets - 1
+        dl1_assoc, dl1_bits = hier.dl1.assoc, hier.dl1.line_bits
+        l1_miss = hier.l1_miss
+        dl1_acc = dl1_miss = 0
 
         complete = [0.0] * n
         commit = [0.0] * n
@@ -281,6 +303,24 @@ class OutOfOrderCore:
                     comp = (start if start >= fwd[1] else fwd[1]) + 1.0
                     self.forwarded_loads += 1
                     exec_tag = TAG_STORE_FORWARD
+                elif probe_dl1:
+                    dline = addr >> dl1_bits
+                    ways = dl1_sets[dline & dl1_mask]
+                    dl1_acc += 1
+                    if dline in ways:
+                        if ways[-1] != dline:
+                            ways.remove(dline)
+                            ways.append(dline)
+                        comp = start + dl1_lat
+                        exec_tag = TAG_DL1
+                    else:
+                        dl1_miss += 1
+                        if len(ways) >= dl1_assoc:
+                            del ways[0]
+                        ways.append(dline)
+                        comp = l1_miss(addr, start + dl1_lat)
+                        if collect_attribution:
+                            exec_tag = level_tag[hier.last_level]
                 else:
                     comp = hier.load(addr, start, pc)
                     if collect_attribution:
@@ -387,9 +427,26 @@ class OutOfOrderCore:
                 mem_commit.append(c)
                 mem_count += 1
             if op == store_op and not perfect_dcache:
-                hier.store(addr, c, pc)
+                if probe_dl1:
+                    dline = addr >> dl1_bits
+                    ways = dl1_sets[dline & dl1_mask]
+                    dl1_acc += 1
+                    if dline in ways:
+                        if ways[-1] != dline:
+                            ways.remove(dline)
+                            ways.append(dline)
+                    else:
+                        dl1_miss += 1
+                        if len(ways) >= dl1_assoc:
+                            del ways[0]
+                        ways.append(dline)
+                        l1_miss(addr, c + dl1_lat)
+                else:
+                    hier.store(addr, c, pc)
 
             if i + 1 == warmup:
+                self._add_dl1_counts(dl1_acc, dl1_miss)
+                dl1_acc = dl1_miss = 0
                 warm_counters = self._counters()
                 warm_commit = c
 
@@ -415,6 +472,7 @@ class OutOfOrderCore:
 
         # Measured region: everything after the warmup boundary.
         assert warm_counters is not None
+        self._add_dl1_counts(dl1_acc, dl1_miss)
         end = self._counters()
         delta = {k: end[k] - warm_counters[k] for k in end}
         # Branch counts come from the trace's outcome stream.

@@ -26,6 +26,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProcessorConfig(rob_size=16, iq_size=32)
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_l2_capacity_scale_must_be_positive(self, scale):
+        # 0 would divide by zero in the first run's hierarchy and -1 would
+        # silently simulate the 8 KB floor L2.
+        with pytest.raises(ValueError, match="l2_capacity_scale"):
+            ProcessorConfig(l2_capacity_scale=scale)
+
     def test_from_design_point(self):
         space = paper_design_space()
         point = space.resolve({

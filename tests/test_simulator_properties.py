@@ -4,8 +4,13 @@ These check the *response-surface* properties the modeling study relies
 on: determinism, sane CPI bounds, and monotone behaviour of the latency
 parameters on a fixed trace; and, over random machines and traces, that
 runs are independent of the trace's memos, that the branch outcome stream
-is the predictor's, and that stacks and timelines keep their laws.
+is the predictor's, that the core's own D-L1 probe matches the
+``MemoryHierarchy`` path, and that stacks and timelines keep their laws.
 """
+
+import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -98,6 +103,23 @@ def test_simulator_facade_keeps_core(tiny_trace, default_config):
     assert sim.last_core is not None
 
 
+def test_finished_run_frees_its_hierarchy_without_gc(tiny_trace, default_config):
+    # A reference cycle through the hierarchy (say, its own bound methods
+    # stored on it) would keep every run's L2 set lists alive until a GC
+    # pass, raising peak memory across a sweep.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator(default_config)
+        sim.run(tiny_trace, collect_timeline=True, collect_attribution=True)
+        hierarchy = weakref.ref(sim.last_core.hierarchy)
+        del sim
+        assert hierarchy() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_simulate_design_point_resolves_fractions(tiny_trace):
     space = paper_design_space()
     point = {
@@ -116,9 +138,12 @@ def test_simulate_design_point_resolves_fractions(tiny_trace):
 # ---------------------------------------------------------------------------
 
 GEOMETRY = ("bpred_kind", "bpred_entries", "bpred_history", "btb_entries")
-TOGGLES = (
-    "perfect_branch_prediction", "perfect_dcache", "perfect_icache",
+#: Extensions that route every access through ``MemoryHierarchy``.
+HIERARCHY_PATH = (
     "enable_tlb", "writeback", "enable_nextline_prefetch", "enable_stride_prefetch",
+)
+TOGGLES = (
+    "perfect_branch_prediction", "perfect_dcache", "perfect_icache", *HIERARCHY_PATH,
 )
 
 
@@ -158,16 +183,19 @@ def _trace(args):
 
 
 def _observed(config, trace):
-    """Every output of one run, floats by repr: result, stack, timeline."""
+    """Every output of one run, floats by repr: result, stack, timeline,
+    and the caches' final access/miss counts."""
     sim = Simulator(config)
     result = sim.run(trace, collect_timeline=True, collect_attribution=True)
     tl = sim.last_core.timeline
+    hier = sim.last_core.hierarchy
     return (
         {k: repr(v) for k, v in result.as_dict().items()},
         {k: repr(v) for k, v in result.extra.items()},
         {k: repr(v) for k, v in result.stack.items()},
         [list(map(repr, stamps)) for stamps in
          (tl.fetch, tl.dispatch, tl.issue, tl.complete, tl.commit)],
+        [(c.accesses, c.misses) for c in (hier.il1, hier.dl1, hier.l2)],
     )
 
 
@@ -181,6 +209,17 @@ def test_runs_ignore_what_ran_on_the_trace_before(machine, other, trace_args):
     Simulator(ProcessorConfig(**other)).run(used)
     Simulator(ProcessorConfig(**{**other, **{k: machine[k] for k in GEOMETRY}})).run(used)
     assert _observed(config, used) == _observed(config, _trace(trace_args))
+
+
+@settings(max_examples=25, deadline=None)
+@given(machine=machines(), trace_args=traces)
+def test_dl1_probe_matches_the_hierarchy_path(machine, trace_args):
+    config = ProcessorConfig(**{**machine, **dict.fromkeys(HIERARCHY_PATH, False)})
+    # The oracle: a one-entry TLB with a free page walk sends every access
+    # through MemoryHierarchy.fetch/load/store without changing any time.
+    oracle = dataclasses.replace(config, enable_tlb=True, tlb_walk_lat=0, tlb_entries=1)
+    trace = _trace(trace_args)
+    assert _observed(config, trace) == _observed(oracle, trace)
 
 
 @settings(max_examples=25, deadline=None)
