@@ -820,7 +820,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(format_table(["benchmark", "group", "repeats", "tolerance"],
                            rows, title="Registered benchmarks"))
         return 0
+    baseline_path = (Path(args.baseline) if args.baseline
+                     else prof.DEFAULT_BASELINE_PATH)
     with run_context(args) as run:
+        previous = None
+        if args.update_baseline and baseline_path.exists():
+            # The update keeps the other preset and the hand-tuned
+            # tolerances, so a file it cannot read is not replaced.
+            try:
+                previous = prof.load_baseline(baseline_path)
+            except (OSError, ValueError) as exc:
+                raise SystemExit(f"cannot update baseline {baseline_path}: "
+                                 f"{exc}; fix or remove it first")
         try:
             results = prof.run_benchmarks(
                 names=args.names or None, quick=args.quick,
@@ -835,15 +846,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"[bench results written to {path}]")
         run.update(bench_wall_s=round(sum(r.wall_s for r in results), 6),
                    artifact=str(path))
-        baseline_path = (Path(args.baseline) if args.baseline
-                         else prof.DEFAULT_BASELINE_PATH)
         if args.update_baseline:
-            previous = None
-            if baseline_path.exists():
-                try:
-                    previous = prof.load_baseline(baseline_path)
-                except ValueError:
-                    previous = None  # unreadable/old baseline: rebuild it
             written = prof.write_baseline(
                 prof.make_baseline(results, preset=preset, previous=previous),
                 baseline_path)
@@ -928,13 +931,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         if missing:
             print(f"[missing exhibits: {', '.join(missing)}]")
         return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """``repro lint``: forward to the :mod:`repro.lint` CLI."""
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(args.lint_args)
 
 
 def cmd_benchmarks(_args: argparse.Namespace) -> int:
@@ -1314,12 +1310,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: never)")
     p_serve.set_defaults(func=cmd_serve)
 
-    p_lint = sub.add_parser(
-        "lint", help="run the static-analysis pass (repro-lint)"
-    )
-    p_lint.add_argument("lint_args", nargs=argparse.REMAINDER,
-                        help="arguments forwarded to repro-lint")
-    p_lint.set_defaults(func=cmd_lint)
+    # Listed for ``repro --help`` only: ``main`` forwards ``repro lint
+    # ...`` to repro-lint before this parser runs.
+    sub.add_parser("lint", help="run the static-analysis pass (repro-lint)")
     return parser
 
 
@@ -1329,7 +1322,7 @@ def _trace_destination(args: argparse.Namespace) -> Optional[Path]:
     ``--trace`` wins over the environment; ``REPRO_TRACE`` set to ``1`` /
     ``true`` / empty selects the default path, anything else is the path.
     """
-    if args.command in ("trace", "lint", "history", "models"):
+    if args.command in ("trace", "history", "models"):
         return None
     spec = getattr(args, "trace", None)
     if spec is None:

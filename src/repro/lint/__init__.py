@@ -28,11 +28,11 @@ PAR001    process-pool payloads must be statically picklable
 
 Run it as ``python -m repro.lint [paths]``, ``repro lint`` or
 ``repro-lint``; suppress per line or per file with ``# repro:
-noqa[RULE-ID]``; grandfather findings in ``lint-baseline.json``.  See
-``docs/linting.md`` for the full catalogue and workflow.
+noqa[RULE-ID]``.  A run keeps no state: it reads the sources and writes
+only its report.  See ``docs/linting.md`` for the full catalogue and
+workflow.
 """
 
-from repro.lint.baseline import Baseline, fingerprint
 from repro.lint.core import (
     RULES,
     FileContext,
@@ -47,7 +47,6 @@ from repro.lint.core import (
 from repro.lint.runner import LintResult, LintRunner, collect_files
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "Finding",
     "LintResult",
@@ -58,7 +57,6 @@ __all__ = [
     "VisitorRule",
     "all_rules",
     "collect_files",
-    "fingerprint",
     "parse_suppressions",
     "register",
 ]

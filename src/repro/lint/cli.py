@@ -1,7 +1,8 @@
 """Command-line front end: ``python -m repro.lint`` / ``repro-lint``.
 
-Exit codes: ``0`` clean, ``1`` findings (or baseline I/O problems),
-``2`` usage errors (bad paths, unknown rules — argparse reports these).
+Exit codes: ``0`` clean, ``1`` findings, ``2`` usage errors (bad paths,
+unknown rules, an unresolvable ``--changed`` ref — argparse reports
+these).
 """
 
 from __future__ import annotations
@@ -10,12 +11,10 @@ import argparse
 import sys
 from typing import List, Optional, Set
 
-from repro.lint.baseline import Baseline, discover_baseline
 from repro.lint.core import RULES
 from repro.lint.incremental import DEFAULT_REF, ChangedFilesError
 from repro.lint.reporters import REPORTERS
 from repro.lint.runner import LintRunner
-from repro.lint.semantic import default_fact_cache_path
 
 
 def _rule_ids(text: str) -> Set[str]:
@@ -45,25 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="IDS", help="only run these rule ids")
     parser.add_argument("--ignore", type=_rule_ids, default=None,
                         metavar="IDS", help="skip these rule ids")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline file of grandfathered findings "
-                             "(default: ./lint-baseline.json when present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", default=None, metavar="PATH",
-                        help="write current findings as a new baseline and exit 0")
     parser.add_argument("--changed", nargs="?", const=DEFAULT_REF,
                         default=None, metavar="REF",
                         help="incremental mode: lint only files changed vs "
                              f"a git ref (default ref: {DEFAULT_REF}); "
-                             "project-wide facts for unchanged files come "
-                             "from the fact cache")
-    parser.add_argument("--fact-cache", default=None, metavar="PATH",
-                        help="location of the semantic fact cache (default: "
-                             "$REPRO_CACHE_DIR or .repro_cache, "
-                             "/lint-facts.json)")
-    parser.add_argument("--no-fact-cache", action="store_true",
-                        help="do not read or write the semantic fact cache")
+                             "project-wide rules still read every file")
     parser.add_argument("--list-rules", action="store_true",
                         help="list the registered rules and exit")
     return parser
@@ -84,36 +69,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         return _list_rules(sys.stdout)
 
-    baseline = None
-    if not args.no_baseline and args.write_baseline is None:
-        baseline_path = discover_baseline(args.baseline)
-        if baseline_path is not None:
-            try:
-                baseline = Baseline.load(baseline_path)
-            except (OSError, ValueError, TypeError) as exc:
-                print(f"repro-lint: cannot read baseline: {exc}", file=sys.stderr)
-                return 1
-
-    fact_cache_path = None
-    if not args.no_fact_cache:
-        fact_cache_path = args.fact_cache or default_fact_cache_path()
-
     runner = LintRunner(select=args.select, ignore=args.ignore)
     try:
-        result = runner.run(args.paths, baseline=baseline,
-                            changed_ref=args.changed,
-                            fact_cache_path=fact_cache_path)
-    except FileNotFoundError as exc:
+        result = runner.run(args.paths, changed_ref=args.changed)
+    except (FileNotFoundError, ChangedFilesError) as exc:
         parser.error(str(exc))  # exits 2
-    except ChangedFilesError as exc:
-        parser.error(str(exc))  # exits 2
-
-    if args.write_baseline is not None:
-        pairs = runner.source_lines(result.findings)
-        Baseline.from_findings(pairs).save(args.write_baseline)
-        print(f"baseline with {len(result.findings)} finding(s) written to "
-              f"{args.write_baseline}")
-        return 0
 
     try:
         REPORTERS[args.format](result, sys.stdout)

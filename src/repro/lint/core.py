@@ -196,10 +196,10 @@ class FileContext:
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set the class attributes below and implement either
-    :meth:`check_file` (``scope = "file"``) or :meth:`check_project`
-    (``scope = "project"``).  File-scope rules that prefer the visitor
-    style can instead subclass :class:`VisitorRule`.
+    File-scope rules subclass this (or :class:`VisitorRule`, for the
+    visitor style), set the class attributes below and implement
+    :meth:`check_file`.  Project-scope rules subclass
+    :class:`ProjectRule` instead.
     """
 
     #: Unique id, e.g. ``"RNG001"``; shown in reports and noqa comments.
@@ -213,10 +213,6 @@ class Rule:
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
         """Check one file; return findings (file-scope rules)."""
-        return []
-
-    def check_project(self, contexts: Sequence[FileContext]) -> List[Finding]:
-        """Check the whole linted set; return findings (project rules)."""
         return []
 
     # -- helpers ----------------------------------------------------------
@@ -260,10 +256,7 @@ class ProjectRule(Rule):
     nothing — the symbol table, call graph and dataflow facts of
     :mod:`repro.lint.semantic`.  The runner builds the project once per
     run and shares it across every project rule, so the semantic passes
-    cost one analysis.
-
-    Subclasses implement :meth:`check`; :meth:`check_project` remains as
-    a compatibility shim that wraps bare contexts in a project.
+    cost one analysis.  Subclasses implement :meth:`check`.
     """
 
     scope = "project"
@@ -271,12 +264,6 @@ class ProjectRule(Rule):
     def check(self, project) -> List[Finding]:
         """Check the whole program; ``project`` is a semantic ``Project``."""
         return []
-
-    def check_project(self, contexts: Sequence[FileContext]) -> List[Finding]:
-        """Compatibility shim: wrap ``contexts`` and delegate to :meth:`check`."""
-        from repro.lint.semantic import Project
-
-        return self.check(Project(list(contexts)))
 
 
 #: Registry of all known rules, keyed by rule id.

@@ -9,7 +9,7 @@ from repro.lint.core import RULES, Finding
 from repro.lint.runner import LintResult
 
 #: Version stamped into JSON reports so consumers can detect schema drift.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 #: SARIF spec pinned by the report's ``version``/``$schema`` fields.
 SARIF_VERSION = "2.1.0"
@@ -35,8 +35,6 @@ def render_text(result: LintResult, stream: IO[str]) -> None:
         stream.write(f"{result.files_checked} file(s) checked, no findings\n")
     if result.suppressed:
         stream.write(f"[{len(result.suppressed)} suppressed by noqa]\n")
-    if result.baselined:
-        stream.write(f"[{len(result.baselined)} grandfathered by baseline]\n")
 
 
 def render_json(result: LintResult, stream: IO[str]) -> None:
@@ -49,7 +47,6 @@ def render_json(result: LintResult, stream: IO[str]) -> None:
         "counts": result.counts_by_rule(),
         "findings": [f.as_dict() for f in result.findings],
         "suppressed": len(result.suppressed),
-        "baselined": len(result.baselined),
     }
     json.dump(doc, stream, indent=2, sort_keys=True)
     stream.write("\n")

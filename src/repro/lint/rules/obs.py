@@ -3,9 +3,8 @@ and OBS004 (no blocking calls reachable from async serving handlers).
 
 A *seam* is the one place a side effect may happen: the console
 (:func:`repro.obs.echo`), the clock (:func:`repro.obs.monotonic`),
-artifact files (:mod:`repro.models.io`, :mod:`repro.models.registry`,
-:mod:`repro.simulator.trace_io`), shared-file persistence
-(:mod:`repro.util.store`) and run records
+artifact files (:mod:`repro.models.io`, :mod:`repro.models.registry`),
+shared-file persistence (:mod:`repro.util.store`) and run records
 (:mod:`repro.obs.history.ledger`).  A library module that goes around
 one writes output traces cannot capture, durations tests cannot fake,
 artifacts with no provenance, or records the history gate never sees.
@@ -24,8 +23,9 @@ OBS004 guards the serving event loop.  ``repro serve`` answers requests
 from a single asyncio loop: one ``time.sleep``, raw ``socket`` call or
 synchronous file read inside (or reachable from) an ``async def`` handler
 stalls *every* in-flight request, invisibly — the classic async
-foot-gun.  The rule walks each ``repro/serve`` module's intra-file call
-graph from its ``async def`` roots and flags blocking calls anywhere
+foot-gun.  The rule walks the intra-file call graph of each module in
+the ``repro.serve`` package (scoped by dotted module name, like the seam
+table) from its ``async def`` roots and flags blocking calls anywhere
 reachable.  Blocking telemetry I/O belongs behind the synchronous
 :mod:`repro.obs.live` sinks (invoked through the application object,
 outside this file-local reachability) and model loading belongs in
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import PurePath
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.lint.core import (
@@ -46,7 +45,7 @@ from repro.lint.core import (
     attribute_chain,
     register,
 )
-from repro.lint.semantic.summary import module_name_for_path
+from repro.lint.semantic.summary import module_name_for_path, within
 
 
 @dataclass(frozen=True)
@@ -110,14 +109,12 @@ SEAMS = (
         rationale=(
             "pickle.dump/np.save/joblib.dump in repro library modules "
             "produce anonymous artifacts with no format version, provenance "
-            "or registry entry; persist models through repro.models.io (and "
-            "register through repro.models.registry), traces through "
-            "repro.simulator.trace_io — the designated serialisation seams."
+            "or registry entry; persist models through repro.models.io and "
+            "register them through repro.models.registry — the designated "
+            "serialisation seams."
         ),
-        hint=("write artifacts through repro.models.io / "
-              "repro.models.registry / repro.simulator.trace_io"),
-        allowed=("repro.models.io", "repro.models.registry",
-                 "repro.simulator.trace_io"),
+        hint="write artifacts through repro.models.io / repro.models.registry",
+        allowed=("repro.models.io", "repro.models.registry"),
         calls=frozenset({
             "pickle.dump", "pickle.dumps", "numpy.save", "numpy.savez",
             "numpy.savez_compressed", "joblib.dump",
@@ -128,8 +125,8 @@ SEAMS = (
         title=("file locking, atomic replace or store location outside the "
                "store"),
         rationale=(
-            "The simulation cache, run ledger, model registry and lint fact "
-            "cache share one flock, one atomic replace and one reading of "
+            "The simulation cache, run ledger and model registry share one "
+            "flock, one atomic replace and one reading of "
             "REPRO_RESULTS_DIR/REPRO_CACHE_DIR, all in repro.util.store; a "
             "second copy drifts from the crash-consistency the store tests "
             "pin."
@@ -156,14 +153,6 @@ SEAMS = (
 )
 
 
-def _within(module: str, pattern: str) -> bool:
-    """Whether ``module`` is ``pattern``, or under it for ``pkg.*``."""
-    if pattern.endswith(".*"):
-        package = pattern[:-2]
-        return module == package or module.startswith(package + ".")
-    return module == pattern
-
-
 class SeamRule(VisitorRule):
     """Flag one :class:`Seam` row's primitives in ``repro`` library code
     outside the row's allowed modules."""
@@ -172,8 +161,8 @@ class SeamRule(VisitorRule):
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
         module = module_name_for_path(ctx.path)
-        if not _within(module, "repro.*") or any(
-                _within(module, allowed) for allowed in self.seam.allowed):
+        if not within(module, "repro.*") or any(
+                within(module, allowed) for allowed in self.seam.allowed):
             return []
         return super().check_file(ctx)
 
@@ -236,15 +225,9 @@ _BLOCKING_FILE_METHODS = (
 )
 
 
-def _serve_scope(path: str) -> bool:
-    """Whether OBS004 applies: a module under ``repro/serve``."""
-    parts = PurePath(path).parts
-    return "repro" in parts and "serve" in parts
-
-
 @register
 class NoBlockingInAsyncRule(VisitorRule):
-    """Forbid blocking calls reachable from ``repro/serve`` async code."""
+    """Forbid blocking calls reachable from ``repro.serve`` async code."""
 
     id = "OBS004"
     title = "blocking call reachable from an async serving handler"
@@ -258,7 +241,7 @@ class NoBlockingInAsyncRule(VisitorRule):
     )
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
-        if not _serve_scope(ctx.path):
+        if not within(module_name_for_path(ctx.path), "repro.serve.*"):
             return []
         self._findings = []
         self._ctx = ctx

@@ -21,17 +21,20 @@ repo already enforces:
   and open handles fail only at runtime, on the worker, with an opaque
   traceback.
 
-``repro.obs`` is exempt from DET001 witnesses: it is the measurement
-seam (wall-clock spans, run manifests) and is nondeterministic by
-design, mirroring the OBS002 exemption at the per-file layer.
+The ``repro.obs`` package is exempt from DET001 witnesses: it is the
+measurement seam (wall-clock spans, run manifests) and is
+nondeterministic by design, mirroring the OBS002 exemption at the
+per-file layer.  Like the seam table, the exemption goes by dotted
+module name, so a directory that merely happens to be called ``obs``
+is not exempt.
 """
 
 from __future__ import annotations
 
-from pathlib import PurePath
 from typing import List
 
 from repro.lint.core import Finding, ProjectRule, register
+from repro.lint.semantic import module_name_for_path, within
 
 #: Call-graph roots of DET001, matched by qualified-name suffix so the
 #: rule engages on fixtures that mirror the real class names.
@@ -43,13 +46,6 @@ DETERMINISM_ROOTS = (
     "SimulationRunner._trace_fingerprint",
     "ProcessorConfig.key",
 )
-
-
-def _is_obs_path(path: str) -> bool:
-    """Whether ``path`` lies inside the ``repro.obs`` measurement seam."""
-    parts = PurePath(path).parts
-    return any(parts[i:i + 2] == ("repro", "obs")
-               for i in range(len(parts) - 1))
 
 
 def _short(qname: str) -> str:
@@ -79,16 +75,15 @@ class DeterminismRule(ProjectRule):
         findings: List[Finding] = []
         for qname in sorted(parent):
             path = graph.paths[qname]
-            if path not in project.linted_paths or _is_obs_path(path):
-                continue
             record = graph.functions[qname]
-            if not record["witnesses"]:
+            if (not record["witnesses"] or path not in project.linted_paths
+                    or within(module_name_for_path(path), "repro.obs.*")):
                 continue
             chain = " -> ".join(
                 _short(q) for q in graph.call_chain(parent, qname))
             for witness in record["witnesses"]:
                 findings.append(Finding(
-                    rule=self.id, path=project.ctx_path(path),
+                    rule=self.id, path=path,
                     line=witness["line"], col=witness["col"],
                     message=(f"{witness['detail']} — reachable from a "
                              f"cache-keyed entry point via {chain}"),
@@ -118,7 +113,7 @@ class CacheMutationRule(ProjectRule):
                 continue
             for fact in graph.functions[qname]["mut"]:
                 findings.append(Finding(
-                    rule=self.id, path=project.ctx_path(path),
+                    rule=self.id, path=path,
                     line=fact["line"], col=fact["col"],
                     message=(f"'{fact['var']}' aliases a cached value "
                              f"(from {fact['origin']}) and is mutated via "
@@ -149,7 +144,7 @@ class PicklabilityRule(ProjectRule):
                 continue
             for fact in graph.functions[qname]["par"]:
                 findings.append(Finding(
-                    rule=self.id, path=project.ctx_path(path),
+                    rule=self.id, path=path,
                     line=fact["line"], col=fact["col"],
                     message=(f"{fact['issue']} — arguments to "
                              f"{fact['site']} must be picklable"),

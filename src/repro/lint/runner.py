@@ -2,20 +2,19 @@
 
 The runner turns a list of paths into parsed :class:`FileContext` objects,
 runs every file-scope rule over each file and every project-scope rule
-over the whole set, applies ``# repro: noqa`` suppressions, and (when a
-baseline is given) filters grandfathered findings.
+over the whole set, and applies ``# repro: noqa`` suppressions.  A run
+reads its sources and writes nothing.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.lint.baseline import Baseline
-from repro.lint.core import FileContext, Finding, ProjectRule, Rule, all_rules
+from repro.lint.core import FileContext, Finding, Rule, all_rules
 from repro.lint.incremental import changed_files
-from repro.lint.semantic import build_project
+from repro.lint.semantic import Project
 
 # Importing the rules package registers every concrete rule.
 import repro.lint.rules  # noqa: F401  (import for side effect)
@@ -61,10 +60,8 @@ class LintResult:
 
     findings: List[Finding]
     files_checked: int
-    #: Findings suppressed by noqa comments (for ``--show-suppressed``).
+    #: Findings suppressed by noqa comments.
     suppressed: List[Finding] = field(default_factory=list)
-    #: Findings filtered by the baseline.
-    baselined: List[Finding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -87,17 +84,13 @@ class LintRunner:
         self.rules: List[Rule] = all_rules(select=select, ignore=ignore)
 
     def run(self, paths: Sequence[str],
-            baseline: Optional[Baseline] = None,
-            changed_ref: Optional[str] = None,
-            fact_cache_path: Optional[str] = None) -> LintResult:
+            changed_ref: Optional[str] = None) -> LintResult:
         """Lint ``paths`` (files or directories) and return the result.
 
         ``changed_ref`` switches on incremental mode: only files changed
         vs that git ref are linted, but project-scope rules still see the
-        whole collected set through the semantic fact graph (unchanged
-        files replay from the fact cache when ``fact_cache_path`` is
-        set), so cross-module facts stay sound.  ``fact_cache_path=None``
-        keeps the run stateless.
+        whole collected set through the semantic call graph, so
+        cross-module facts stay sound.
         """
         files = collect_files(paths)
         graph_sources = files
@@ -106,12 +99,10 @@ class LintRunner:
             files = [f for f in files if os.path.abspath(f) in changed]
         contexts: List[FileContext] = []
         raw: List[Finding] = []
-        sources: Dict[str, List[str]] = {}
 
         for path in files:
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
-            sources[path] = source.splitlines()
             try:
                 contexts.append(FileContext.from_source(path, source))
             except SyntaxError as exc:
@@ -126,17 +117,12 @@ class LintRunner:
                 if rule.scope == "file":
                     raw.extend(rule.check_file(ctx))
 
-        project_rules = [r for r in self.rules if r.scope == "project"]
-        if project_rules:
-            # One whole-program analysis shared by every project rule.
-            project = build_project(contexts, graph_sources=graph_sources,
-                                    fact_cache_path=fact_cache_path)
-            for rule in project_rules:
-                if isinstance(rule, ProjectRule):
-                    raw.extend(rule.check(project))
-                else:
-                    raw.extend(rule.check_project(contexts))
-            project.save_cache()
+        # One whole-program analysis, built lazily and shared by every
+        # project rule.
+        project = Project(contexts, graph_sources=graph_sources)
+        for rule in self.rules:
+            if rule.scope == "project":
+                raw.extend(rule.check(project))
 
         raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
@@ -151,27 +137,5 @@ class LintRunner:
             else:
                 live.append(finding)
 
-        baselined: List[Finding] = []
-        if baseline is not None and len(baseline):
-            pairs = [(f, sources.get(f.path)) for f in live]
-            fresh = baseline.filter(pairs)
-            fresh_set = {id(f) for f in fresh}
-            baselined = [f for f in live if id(f) not in fresh_set]
-            live = fresh
-
         return LintResult(findings=live, files_checked=len(files),
-                          suppressed=suppressed, baselined=baselined)
-
-    def source_lines(self, findings: Iterable[Finding]) -> List[Tuple[Finding, Optional[List[str]]]]:
-        """Pair findings with their file's source lines (baseline writing)."""
-        cache: Dict[str, Optional[List[str]]] = {}
-        pairs = []
-        for finding in findings:
-            if finding.path not in cache:
-                try:
-                    with open(finding.path, "r", encoding="utf-8") as fh:
-                        cache[finding.path] = fh.read().splitlines()
-                except OSError:
-                    cache[finding.path] = None
-            pairs.append((finding, cache[finding.path]))
-        return pairs
+                          suppressed=suppressed)

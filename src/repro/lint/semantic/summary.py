@@ -3,10 +3,8 @@
 One :data:`ModuleSummary` is extracted per source file and holds
 everything the project-wide passes need — resolved imports, class and
 function symbols, a call IR, nondeterminism witnesses, and mutation and
-pickling facts.  Summaries are plain JSON-serialisable
-dicts-of-primitives, which is what lets the whole-program fact cache
-(:mod:`repro.lint.semantic.cache`) key them by file content hash and
-replay them without re-parsing.
+pickling facts.  Summaries are plain dicts-of-primitives, extracted
+from source on every run.
 
 The extraction is deliberately best-effort: anything it cannot resolve
 is recorded as unknown rather than guessed, so the downstream rules err
@@ -36,9 +34,6 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.lint.core import attribute_chain
-
-#: Bump to invalidate every cached summary when the extractor changes.
-EXTRACTOR_VERSION = 2
 
 #: JSON shape of one module's facts.
 ModuleSummary = Dict[str, Any]
@@ -118,6 +113,14 @@ def module_name_for_path(path: str) -> str:
     return ".".join(parts) if parts else stem
 
 
+def within(module: str, pattern: str) -> bool:
+    """Whether ``module`` is ``pattern``, or under it for ``pkg.*``."""
+    if pattern.endswith(".*"):
+        package = pattern[:-2]
+        return module == package or module.startswith(package + ".")
+    return module == pattern
+
+
 class _Scope:
     """One lexical scope: bindings for imports, types and local defs."""
 
@@ -144,9 +147,8 @@ class _Scope:
 class _Extractor(ast.NodeVisitor):
     """Extraction driver for one module; fills class/function records."""
 
-    def __init__(self, module: str, path: str):
+    def __init__(self, module: str):
         self.module = module
-        self.path = path.replace(os.sep, "/")
         self.classes: Dict[str, Dict[str, Any]] = {}
         self.functions: Dict[str, Dict[str, Any]] = {}
         self.scopes: List[_Scope] = [_Scope("module", module)]
@@ -707,17 +709,15 @@ class _Extractor(ast.NodeVisitor):
         return None
 
 
-def extract_summary(path: str, tree: ast.Module,
-                    module: Optional[str] = None) -> ModuleSummary:
+def extract_summary(path: str, tree: ast.Module) -> ModuleSummary:
     """Extract one file's :data:`ModuleSummary` from its parsed AST."""
-    module = module or module_name_for_path(path)
-    extractor = _Extractor(module, path)
+    module = module_name_for_path(path)
+    extractor = _Extractor(module)
     extractor.prescan(tree)
     extractor.visit(tree)
     return {
-        "version": EXTRACTOR_VERSION,
         "module": module,
-        "path": extractor.path,
+        "path": path,
         "classes": extractor.classes,
         "functions": extractor.functions,
     }

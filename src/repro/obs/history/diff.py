@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.prof.analyze import aggregate_stacks
-from repro.obs.sinks import TraceData
+from repro.obs.sinks import TraceData, aggregate_stacks
 
 #: Schema version of the ``repro trace diff --json`` document.
 DIFF_SCHEMA_VERSION = 1

@@ -30,8 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.history import trend as _trend
-from repro.obs.prof.analyze import aggregate_stacks
-from repro.obs.sinks import TraceData
+from repro.obs.sinks import TraceData, aggregate_stacks
 from repro.simulator.attribution import COMPONENTS
 
 #: Runs shown in the report's run table (newest first).

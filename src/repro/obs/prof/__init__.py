@@ -26,8 +26,6 @@ stays cheap and cycle-free.
 """
 
 from repro.obs.prof.analyze import (
-    SpanStat,
-    aggregate_stacks,
     hot_spans,
     parse_folded,
     render_profile,
@@ -55,6 +53,7 @@ from repro.obs.prof.gate import (
     write_baseline,
     write_results,
 )
+from repro.obs.sinks import SpanStat, aggregate_stacks
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",

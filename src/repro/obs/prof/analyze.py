@@ -9,10 +9,11 @@ plots, and the one that ranks optimisation targets correctly (a parent
 that merely waits on its children has a large cumulative time but no self
 time to reclaim).
 
+The per-stack rows come from :func:`repro.obs.sinks.aggregate_stacks`,
+the one aggregation every trace view reads.
+
 Exports:
 
-* :func:`aggregate_stacks` — fold a :class:`~repro.obs.sinks.TraceData`
-  into per-stack :class:`SpanStat` rows;
 * :func:`hot_spans` / :func:`render_profile` — the top-N table behind
   ``repro trace profile``;
 * :func:`to_folded` / :func:`parse_folded` — flamegraph-compatible
@@ -25,70 +26,13 @@ Exports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from repro.obs.sinks import TraceData
+from repro.obs.sinks import SpanStat, TraceData, aggregate_stacks
 
 #: Separator used in folded-stack output; span names containing it are
 #: sanitised so the folded format stays parseable.
 FOLD_SEP = ";"
-
-
-@dataclass
-class SpanStat:
-    """Aggregate over every span sharing one call stack."""
-
-    stack: Tuple[str, ...]  # span names from root to this span
-    calls: int = 0
-    cum_s: float = 0.0  # summed durations
-    self_s: float = 0.0  # summed durations minus children's durations
-    attrs_sample: Dict[str, Any] = field(default_factory=dict, repr=False)
-
-    @property
-    def name(self) -> str:
-        """The leaf span name of this stack."""
-        return self.stack[-1] if self.stack else ""
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-JSON row (used by ``trace summary --json``)."""
-        return {
-            "stack": list(self.stack),
-            "name": self.name,
-            "calls": self.calls,
-            "cum_s": self.cum_s,
-            "self_s": self.self_s,
-        }
-
-
-def aggregate_stacks(trace: TraceData) -> List[SpanStat]:
-    """Fold a trace into one :class:`SpanStat` per distinct call stack.
-
-    Stacks are identified by the path of span *names* from the root, so
-    the hundreds of ``simulate`` spans inside one batch collapse into a
-    single row with ``calls=len(spans)`` — the aggregation that makes a
-    profile readable.  Rows come back in first-seen (depth-first) order.
-    """
-    order: List[Tuple[str, ...]] = []
-    stats: Dict[Tuple[str, ...], SpanStat] = {}
-
-    def visit(node, prefix: Tuple[str, ...]) -> None:
-        stack = prefix + (node.name,)
-        stat = stats.get(stack)
-        if stat is None:
-            stat = stats[stack] = SpanStat(stack=stack)
-            stat.attrs_sample = dict(node.attrs)
-            order.append(stack)
-        stat.calls += 1
-        stat.cum_s += node.duration
-        stat.self_s += node.self_time
-        for child in node.children:
-            visit(child, stack)
-
-    for root in trace.roots:
-        visit(root, ())
-    return [stats[stack] for stack in order]
-
 
 def hot_spans(trace: TraceData, top: int = 20) -> List[SpanStat]:
     """The ``top`` stacks ranked by self time (descending)."""

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.obs import manifest as obs_manifest
 from repro.obs.prof.bench import BenchResult
+from repro.util import store
 
 #: Schema version stamped into BENCH_<run>.json and baseline.json.
 BENCH_SCHEMA_VERSION = 1
@@ -116,18 +117,28 @@ def make_baseline(
 
 def write_baseline(baseline: Mapping[str, Any],
                    path: Union[str, Path]) -> Path:
-    """Write a baseline document (pretty-printed, trailing newline)."""
+    """Write a baseline document (pretty-printed, trailing newline).
+
+    The file is replaced atomically, so a killed update leaves the old
+    baseline whole.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(dict(baseline), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    store.write_atomic(
+        path, json.dumps(dict(baseline), indent=2, sort_keys=True) + "\n")
     return path
 
 
 def load_baseline(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a baseline document; raises ``ValueError`` on schema mismatch."""
+    """Read a baseline document.
+
+    Raises ``ValueError`` on bytes that are not UTF-8 JSON, on a document
+    that is not an object, and on a schema mismatch.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         baseline = json.load(fh)
+    if not isinstance(baseline, dict):
+        raise ValueError(f"{path}: baseline is not a JSON object")
     schema = baseline.get("schema")
     if schema != BENCH_SCHEMA_VERSION:
         raise ValueError(

@@ -30,13 +30,16 @@ trace) and renamed to ``<stem>.NNN<suffix>``; a fresh header opens the
 next segment at the original path.
 
 :func:`read_trace` round-trips the file back into span trees;
-:func:`render_summary` renders the tree with per-name call counts and
-cumulative/self times, which is what ``repro trace summary`` prints.
+:func:`aggregate_stacks` folds them into one row per call stack, in tree
+order, and :func:`render_summary` renders those rows with call counts
+and cumulative/self times, which is what ``repro trace summary`` prints.
+The profile, folded-stack, diff and HTML views read the same rows.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -276,37 +279,62 @@ def read_trace(path: Union[str, Path], strict: bool = True) -> TraceData:
 # -- summary rendering -----------------------------------------------------
 
 
-def _aggregate(nodes: List[SpanNode]) -> List[Tuple[str, int, float, float, List[SpanNode]]]:
-    """Group sibling spans by name: (name, calls, cum, self, children)."""
-    order: List[str] = []
-    groups: Dict[str, List[SpanNode]] = {}
-    for node in nodes:
-        if node.name not in groups:
-            order.append(node.name)
-            groups[node.name] = []
-        groups[node.name].append(node)
-    rows = []
-    for name in order:
-        members = groups[name]
-        cum = sum(m.duration for m in members)
-        self_time = sum(m.self_time for m in members)
-        children: List[SpanNode] = []
-        for m in members:
-            children.extend(m.children)
-        rows.append((name, len(members), cum, self_time, children))
+@dataclass
+class SpanStat:
+    """Aggregate over every span sharing one call stack."""
+
+    stack: Tuple[str, ...]  # span names from root to this span
+    calls: int = 0
+    cum_s: float = 0.0  # summed durations
+    self_s: float = 0.0  # summed durations minus children's durations
+    attrs_sample: Dict[str, Any] = field(default_factory=dict, repr=False)
+
+    @property
+    def name(self) -> str:
+        """The leaf span name of this stack."""
+        return self.stack[-1] if self.stack else ""
+
+    def as_dict(self) -> Dict[str, Any]:
+        """Plain-JSON row (used by ``trace summary --json``)."""
+        return {
+            "stack": list(self.stack),
+            "name": self.name,
+            "calls": self.calls,
+            "cum_s": self.cum_s,
+            "self_s": self.self_s,
+        }
+
+
+def aggregate_stacks(trace: TraceData) -> List[SpanStat]:
+    """Fold a trace into one :class:`SpanStat` per distinct call stack.
+
+    Stacks are identified by the path of span *names* from the root, so
+    the hundreds of ``simulate`` spans inside one batch collapse into a
+    single row with ``calls=len(spans)``.  Rows come in tree order:
+    sibling spans sharing a name merge into one row, placed where the
+    first of them appears, and each row is followed by its children's
+    rows.  A row therefore always sits under its parent, even when
+    same-name siblings interleave with others.
+    """
+    rows: List[SpanStat] = []
+
+    def visit(nodes: List[SpanNode], prefix: Tuple[str, ...]) -> None:
+        groups: Dict[str, List[SpanNode]] = {}
+        for node in nodes:
+            groups.setdefault(node.name, []).append(node)
+        for name, members in groups.items():
+            stat = SpanStat(stack=prefix + (name,),
+                            attrs_sample=dict(members[0].attrs))
+            for member in members:
+                stat.calls += 1
+                stat.cum_s += member.duration
+                stat.self_s += member.self_time
+            rows.append(stat)
+            visit([child for member in members for child in member.children],
+                  stat.stack)
+
+    visit(trace.roots, ())
     return rows
-
-
-def _render_rows(nodes: List[SpanNode], depth: int,
-                 lines: List[str]) -> None:
-    """Append aggregated tree rows (indented by depth) to ``lines``."""
-    for name, calls, cum, self_time, children in _aggregate(nodes):
-        label = "  " * depth + name
-        lines.append(
-            f"{label:<44} {calls:>6} {cum:>12.4f} {self_time:>12.4f}"
-        )
-        if children:
-            _render_rows(children, depth + 1, lines)
 
 
 def render_summary(trace: TraceData) -> str:
@@ -324,7 +352,10 @@ def render_summary(trace: TraceData) -> str:
         f"{'span':<44} {'calls':>6} {'cum_s':>12} {'self_s':>12}"
     )
     lines.append("-" * 76)
-    _render_rows(trace.roots, 0, lines)
+    for stat in aggregate_stacks(trace):
+        label = "  " * (len(stat.stack) - 1) + stat.name
+        lines.append(f"{label:<44} {stat.calls:>6} {stat.cum_s:>12.4f} "
+                     f"{stat.self_s:>12.4f}")
     failures = [e for e in trace.events if e.get("type") == "failure"]
     for failure in failures:
         lines.append(

@@ -16,10 +16,10 @@ from repro.workloads.profiles import PROFILES
 def _scratch_store_roots(tmp_path_factory, monkeypatch):
     """Point the results and cache roots at a per-test scratch directory.
 
-    Without this, a test that runs a command or lints with the default
-    fact cache writes ledger records, registry entries and manifests into
-    the working tree's ``results/`` and ``.repro_cache/``.  Tests that
-    set or unset the variables themselves override this.
+    Without this, a test that runs a command writes ledger records,
+    registry entries, manifests and simulation caches into the working
+    tree's ``results/`` and ``.repro_cache/``.  Tests that set or unset
+    the variables themselves override this.
     """
     root = tmp_path_factory.mktemp("store")
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(root / "results"))

@@ -10,6 +10,7 @@ CLI error paths.
 
 import json
 import multiprocessing
+import re
 
 import pytest
 
@@ -400,6 +401,34 @@ class TestHtmlReport:
         assert "<svg" in first  # charts rendered
         assert "perf gate passed" in first
         assert "drift check clean" in first
+
+    def test_span_tree_nests_interleaved_siblings(self, tmp_path):
+        # repro/build -> stage(simulate), fit, stage(validate): the two
+        # stage spans share a row, and validate sits under it, not fit.
+        with obs.collecting(clock=FakeClock()) as collector:
+            with obs.span("repro/build"):
+                with obs.span("stage"):
+                    with obs.span("simulate"):
+                        pass
+                with obs.span("fit"):
+                    pass
+                with obs.span("stage"):
+                    with obs.span("validate"):
+                        pass
+        trace = obs.read_trace(obs.write_trace(
+            collector, tmp_path / "t.jsonl", header={"command": "build"}))
+        html = history.render_html([], trace=trace)
+        tree = html[html.index('<table class="tree">'):]
+        tree = tree[:tree.index("</table>")]
+        rows = re.findall(r"<tr><td>((?:&nbsp;)*)([^<]+)</td>", tree)
+        assert [(len(indent) // len("&nbsp;") // 2, name)
+                for indent, name in rows] == [
+            (0, "repro/build"), (1, "stage"), (2, "simulate"),
+            (2, "validate"), (1, "fit")]
+        # The text summary lists the same rows in the same order.
+        summary = obs.render_summary(trace).splitlines()[3:8]
+        assert [line.split()[0] for line in summary] == [
+            name for _, name in rows]
 
     def test_failed_gate_and_anomaly_are_labelled(self):
         runs = [make_run(wall_time_s=1.0 + 0.01 * i) for i in range(5)]

@@ -9,15 +9,12 @@ shared-file persistence, run records) in ``src/`` fails here — with the
 finding list in the assertion message.
 """
 
-import json
 import os
 
-from repro.lint import Baseline, LintRunner
-from repro.lint.baseline import DEFAULT_BASELINE_NAME
+from repro.lint import LintRunner
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
-BASELINE = os.path.join(REPO_ROOT, DEFAULT_BASELINE_NAME)
 
 
 def _render(findings):
@@ -36,16 +33,6 @@ def test_src_tree_needs_no_suppressions():
     assert not result.suppressed, (
         f"unexpected noqa-suppressed findings:\n{_render(result.suppressed)}"
     )
-
-
-def test_shipped_baseline_is_empty():
-    # Satellite contract: every finding was fixed at the source, so the
-    # committed grandfathering file carries zero fingerprints.
-    baseline = Baseline.load(BASELINE)
-    assert len(baseline) == 0, "lint-baseline.json should stay empty"
-    with open(BASELINE, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["tool"] == "repro.lint"
 
 
 def test_benchmarks_and_examples_are_lint_clean():

@@ -3,9 +3,8 @@
 Each rule gets fixture packages with positive, negative and cross-module
 cases; the acceptance contract is that every pass fires *across a call
 boundary* (e.g. ``metric -> helper -> time.time()`` trips DET001 even
-though the helper alone is clean).  The fact cache, SARIF output,
-``--changed`` incremental mode and the real-tree worklists are covered
-at the end.
+though the helper alone is clean).  SARIF output, ``--changed``
+incremental mode and the real-tree worklists are covered at the end.
 """
 
 import json
@@ -19,13 +18,7 @@ from repro.lint import LintRunner
 from repro.lint.core import FileContext
 from repro.lint.reporters import sarif_document
 from repro.lint.runner import collect_files
-from repro.lint.semantic import (
-    FactCache,
-    build_project,
-    extract_summary,
-    module_name_for_path,
-    source_hash,
-)
+from repro.lint.semantic import Project, module_name_for_path
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -138,6 +131,28 @@ class TestDET001:
                 """,
         })
         assert rule_ids(result) == []
+
+    def test_obs_exemption_follows_the_module_name(self, tmp_path):
+        # Only the repro.obs package is the measurement seam; plain
+        # directories that are merely named repro/obs are not exempt.
+        sim = """\
+            import time
+
+            def stamp():
+                return time.time()
+
+            class SimulationRunner:
+                def metric(self, points, name):
+                    return [stamp() for _ in points]
+            """
+        plain = lint_tree(tmp_path / "plain", {"repro/obs/sim.py": sim})
+        assert rule_ids(plain) == ["DET001"]
+        package = lint_tree(tmp_path / "pkg", {
+            "repro/__init__.py": "",
+            "repro/obs/__init__.py": "",
+            "repro/obs/sim.py": sim,
+        })
+        assert rule_ids(package) == []
 
     def test_global_rng_reachable_from_metric_fires(self, tmp_path):
         result = lint_tree(tmp_path, {
@@ -314,7 +329,7 @@ def src_project():
     for path in files:
         with open(path, "r", encoding="utf-8") as fh:
             contexts.append(FileContext.from_source(path, fh.read()))
-    return build_project(contexts)
+    return Project(contexts)
 
 
 def test_call_graph_resolves_every_perf_target(src_project):
@@ -335,7 +350,7 @@ def test_call_graph_resolves_every_perf_target(src_project):
 
 
 def test_src_tree_has_no_semantic_errors(src_project):
-    # Empty-baseline discipline extends to the semantic passes: no live
+    # The clean-tree gate extends to the semantic passes: no live
     # DET001/MUT001/PAR001 anywhere in src.
     from repro.lint.rules.semantic import (
         CacheMutationRule,
@@ -348,63 +363,6 @@ def test_src_tree_has_no_semantic_errors(src_project):
         rendered = "\n".join(
             f"{f.path}:{f.line} {f.message}" for f in findings)
         assert not findings, f"{rule.id} findings in src/:\n{rendered}"
-
-
-# -- fact cache ------------------------------------------------------------
-
-
-class TestFactCache:
-    def _contexts(self, tmp_path, body):
-        path = tmp_path / "mod.py"
-        path.write_text(textwrap.dedent(body))
-        with open(path, "r", encoding="utf-8") as fh:
-            return [FileContext.from_source(str(path), fh.read())]
-
-    def test_warm_runs_replay_summaries(self, tmp_path):
-        cache_path = str(tmp_path / "facts.json")
-        body = """\
-            def f():
-                return 1
-            """
-        first = build_project(self._contexts(tmp_path, body),
-                              fact_cache_path=cache_path)
-        assert first.graph.functions  # force the analysis
-        first.save_cache()
-        assert os.path.isfile(cache_path)
-
-        second = build_project(self._contexts(tmp_path, body),
-                               fact_cache_path=cache_path)
-        assert second.graph.functions
-        assert second._cache.hits == 1
-        assert second._cache.misses == 0
-
-    def test_edits_invalidate_by_content_hash(self, tmp_path):
-        cache_path = str(tmp_path / "facts.json")
-        project = build_project(
-            self._contexts(tmp_path, "def f():\n    return 1\n"),
-            fact_cache_path=cache_path)
-        assert any(q.endswith(".f") for q in project.graph.functions)
-        project.save_cache()
-
-        edited = build_project(
-            self._contexts(tmp_path, "def g():\n    return 2\n"),
-            fact_cache_path=cache_path)
-        assert edited._cache.hits == 0
-        assert any(q.endswith(".g") for q in edited.graph.functions)
-        assert not any(q.endswith(".f") for q in edited.graph.functions)
-
-    def test_extractor_version_mismatch_drops_cache(self, tmp_path):
-        cache_path = tmp_path / "facts.json"
-        source = "def f():\n    return 1\n"
-        cache = FactCache(str(cache_path))
-        cache.put("mod.py", source_hash(source),
-                  extract_summary("mod.py", __import__("ast").parse(source)))
-        cache.save()
-        doc = json.loads(cache_path.read_text())
-        doc["extractor"] = -1
-        cache_path.write_text(json.dumps(doc))
-        stale = FactCache(str(cache_path))
-        assert stale.get("mod.py", source_hash(source)) is None
 
 
 # -- SARIF -----------------------------------------------------------------
@@ -528,7 +486,7 @@ class TestSarif:
         (tmp_path / "clean.py").write_text('"""Clean."""\nX = 1\n')
         proc = subprocess.run(
             ["python", "-m", "repro.lint.cli", str(tmp_path),
-             "--format", "sarif", "--no-fact-cache", "--no-baseline"],
+             "--format", "sarif"],
             capture_output=True, text=True, cwd=REPO_ROOT,
             env={**os.environ,
                  "PYTHONPATH": os.path.join(REPO_ROOT, "src")},

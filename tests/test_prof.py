@@ -337,6 +337,28 @@ class TestBenchCLI:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("raw", [
+        b'{"schema": 1, "presets": {"full": {"benchmarks": '
+        b'{"sampling/centered_l2": {"tolerance": 3.0, "wall_s"',
+        b'\xff\xfe{"schema": 1}',
+        b'[1, 2]\n',
+        b'{"schema": 99, "presets": {}}\n',
+    ], ids=["truncated", "not-utf8", "not-an-object", "other-schema"])
+    def test_update_baseline_keeps_an_unreadable_file(
+            self, tmp_path, capsys, monkeypatch, raw):
+        # The update merges into the file it replaces (the other preset,
+        # hand-tuned tolerances); one it cannot read stays byte-identical.
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        target = tmp_path / "baseline.json"
+        target.write_bytes(raw)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([
+                "bench", "--quick", "--no-memory", "--update-baseline",
+                "--baseline", str(target), "sampling/centered_l2",
+            ])
+        assert "cannot update baseline" in str(excinfo.value.code)
+        assert target.read_bytes() == raw
+
     def test_bench_unknown_name_exits_with_message(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["bench", "no/such/bench"])
