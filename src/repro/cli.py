@@ -457,12 +457,12 @@ def _load_trace_or_exit(path: str):
 
 def cmd_trace_summary(args: argparse.Namespace) -> int:
     """``repro trace summary``: render the span tree of a JSONL trace."""
-    import json
-
-    from repro.obs.prof import summarize_trace
-
     trace = _load_trace_or_exit(args.path)
     if args.json:
+        import json
+
+        from repro.obs.prof import summarize_trace
+
         print(json.dumps(summarize_trace(trace), indent=2, sort_keys=True))
     else:
         print(obs.render_summary(trace))

@@ -101,8 +101,17 @@ class LintRunner:
         raw: List[Finding] = []
 
         for path in files:
-            with open(path, "r", encoding="utf-8") as fh:
-                source = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
+            try:
+                source = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raw.append(Finding(
+                    rule=SYNTAX_RULE, path=path,
+                    line=data.count(b"\n", 0, exc.start) + 1, col=0,
+                    message="cannot decode as UTF-8",
+                ))
+                continue
             try:
                 contexts.append(FileContext.from_source(path, source))
             except SyntaxError as exc:

@@ -45,7 +45,7 @@ class Project:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     tree = ast.parse(fh.read(), filename=path)
-            except (OSError, SyntaxError):
+            except (OSError, SyntaxError, UnicodeDecodeError):
                 continue
             summaries.append(extract_summary(path, tree))
         return summaries

@@ -55,22 +55,36 @@ def gaussian_design_matrix(
         raise ValueError("centers and radii must have matching shapes")
     if centers.shape[0] == 0:
         return np.zeros((len(points), 0))
-    diff = points[:, None, :] - centers[None, :, :]
-    return _design_from_diff(diff, radii)
+    return np.ascontiguousarray(_gaussian_rows(points, centers, radii).T)
 
 
-def _design_from_diff(diff: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Design matrix from precomputed ``points - centers`` differences.
+#: Elements of ``(x - c) / r`` differences one design-matrix chunk holds.
+_CHUNK = 1 << 16
 
-    Shared by :func:`gaussian_design_matrix` and the per-tree candidate
-    cache so both produce bitwise-identical matrices: ``diff`` is
-    radius-independent and can be reused across the alpha grid.
+
+def _gaussian_rows(points: np.ndarray, centers: np.ndarray,
+                   radii: np.ndarray) -> np.ndarray:
+    """The transposed design matrix ``H.T``: row ``j`` is ``h_j`` at every point.
+
+    Rows are built in chunks of about ``_CHUNK`` difference elements, so no
+    ``(p, m, n)`` difference array is ever held.  Each element's sum runs
+    over the contiguous last axis exactly as the unchunked broadcast's
+    does, so the bits do not depend on the chunking.
     """
-    z = (diff / radii[None, :, :]) ** 2
-    return np.exp(-z.sum(axis=2))
+    out = np.empty((len(centers), len(points)))
+    step = max(1, _CHUNK // max(1, points.size))
+    for lo in range(0, len(centers), step):
+        diff = points - centers[lo:lo + step, None, :]
+        z = (diff / radii[lo:lo + step, None, :]) ** 2
+        np.exp(-z.sum(axis=2), out=out[lo:lo + step])
+    return out
 
 
-def _fit_weights(h: np.ndarray, y: np.ndarray, ridge: float = 1e-9):
+#: Ridge added to every Gram diagonal for numerical conditioning.
+_RIDGE = 1e-9
+
+
+def _fit_weights(h: np.ndarray, y: np.ndarray):
     """Least-squares weights with a tiny ridge for numerical conditioning.
 
     Returns ``(weights, sse)`` where ``sse`` is the residual sum of squares
@@ -81,13 +95,35 @@ def _fit_weights(h: np.ndarray, y: np.ndarray, ridge: float = 1e-9):
     gram = h.T @ h
     # Strided view of the diagonal; same elementwise add as indexing by
     # diag_indices_from, without rebuilding the index arrays per call.
-    gram.flat[:: gram.shape[0] + 1] += ridge
+    gram.flat[:: gram.shape[0] + 1] += _RIDGE
     try:
         weights = np.linalg.solve(gram, h.T @ y)
     except np.linalg.LinAlgError:
         weights = np.linalg.lstsq(h, y, rcond=None)[0]
     resid = y - h @ weights
     return weights, float(resid @ resid)
+
+
+def _stacked_sse(a: np.ndarray, y: np.ndarray) -> List[float]:
+    """``_fit_weights(a[i].T, y)[1]`` for every block of a ``(b, k, p)`` stack.
+
+    Bit for bit, because each stacked product sees the memory layout its
+    ``_fit_weights`` counterpart does: ``a[i]`` is C-ordered like ``h.T``
+    (a column selection ``H[:, mask]`` is F-ordered), so the Gram matrix,
+    right-hand side, residual and SSE come from the same BLAS calls on the
+    same strides.  If ``solve`` refuses the stack, every block is refitted
+    alone, ``lstsq`` fallback included.
+    """
+    if a.shape[1] == 0:
+        return [float(np.dot(y, y))] * len(a)
+    gram = a @ a.transpose(0, 2, 1)
+    gram.reshape(len(a), -1)[:, :: gram.shape[1] + 1] += _RIDGE
+    try:
+        weights = np.linalg.solve(gram, (a @ y)[..., None])
+    except np.linalg.LinAlgError:
+        return [_fit_weights(h.T, y)[1] for h in a]
+    resid = y - (a.transpose(0, 2, 1) @ weights)[..., 0]
+    return (resid[:, None, :] @ resid[:, :, None]).ravel().tolist()
 
 
 class RBFNetwork(Model):
@@ -173,7 +209,7 @@ class RBFNetwork(Model):
         responses = np.asarray(responses, dtype=float).ravel()
         a = gaussian_design_matrix(points, self.centers, self.radii)
         gram = a.T @ a
-        gram.flat[:: gram.shape[0] + 1] += 1e-9
+        gram.flat[:: gram.shape[0] + 1] += _RIDGE
         inner = np.linalg.solve(gram, a.T)
         hat_diag = np.einsum("ij,ji->i", a, inner)
         weights = inner @ responses
@@ -224,28 +260,47 @@ class RBFNetwork(Model):
 class CandidateSet:
     """Alpha-independent geometry of a breadth-first list of tree nodes.
 
-    Everything here (the nodes, their center coordinates, rectangle edge
-    lengths and the ``points - centers`` differences feeding the design
-    matrix) depends only on the tree and the sample, so it is computed
-    once and reused for every alpha instead of being rebuilt per network.
+    The nodes, their center coordinates and rectangle edge lengths depend
+    only on the tree, so they are computed once and reused for every alpha
+    instead of being rebuilt per network.
     """
 
     nodes: List[TreeNode]
     centers: np.ndarray  #: ``(m, n)`` candidate center coordinates.
     sizes: np.ndarray  #: ``(m, n)`` hyper-rectangle edge lengths.
-    diff: np.ndarray  #: ``(p, m, n)`` sample-to-center differences.
 
 
-def tree_candidates(
-    points: np.ndarray, tree: RegressionTree, max_candidates: int = 255
-) -> CandidateSet:
+def tree_candidates(tree: RegressionTree, max_candidates: int = 255) -> CandidateSet:
     """Geometry of the first ``max_candidates`` nodes of ``tree``, breadth first."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     nodes = tree.nodes_breadth_first()[:max_candidates]
     centers = np.atleast_2d(np.array([n.center for n in nodes], dtype=float))
     sizes = np.atleast_2d(np.array([n.size for n in nodes], dtype=float))
-    diff = points[:, None, :] - centers[None, :, :]
-    return CandidateSet(nodes=nodes, centers=centers, sizes=sizes, diff=diff)
+    return CandidateSet(nodes=nodes, centers=centers, sizes=sizes)
+
+
+def _candidate_radii(candidates: CandidateSet, alphas: Sequence[float]) -> np.ndarray:
+    """``(len(alphas), m, n)`` radii of every candidate at every alpha (Eq. 8)."""
+    return np.maximum(np.multiply.outer(np.asarray(alphas, dtype=float),
+                                        candidates.sizes), _MIN_RADIUS)
+
+
+def _candidate_design(points: np.ndarray, candidates: CandidateSet,
+                      radii: np.ndarray) -> np.ndarray:
+    """One transposed design matrix per alpha, stacked: ``(alphas * m, p)``.
+
+    Rows ``a * m`` to ``(a + 1) * m`` are :func:`gaussian_design_matrix`'s
+    columns at alpha ``a``, bit for bit.
+    """
+    centers = np.tile(candidates.centers, (len(radii), 1))
+    return _gaussian_rows(points, centers, radii.reshape(len(centers), -1))
+
+
+def _check_fit_args(alphas: Sequence[float], max_candidates: int) -> None:
+    if max_candidates < 1:
+        raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
+    for alpha in alphas:
+        if not (np.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 @dataclass
@@ -263,49 +318,13 @@ class RBFBuildInfo:
     selected_nodes: List[TreeNode] = field(default_factory=list, repr=False)
 
 
-class _SubsetFits:
-    """Criterion of column subsets of one design matrix, each fitted once.
+#: A trio's (node, left, right) include bits, one row per combination, in
+#: the order the walk scores them.
+_TRIO_COMBOS = np.array([(c & 4, c & 2, c & 1) for c in range(8)], dtype=bool)
 
-    Subsets are keyed by their column mask.  Every walk sharing one of
-    these reuses its fits: a single walk revisits selections (each step
-    re-scores the current one, and sibling steps often propose the same
-    subset), and at one alpha the walks of the different ``p_min`` trees
-    propose many of the same subsets again.
-    """
-
-    def __init__(self, h: np.ndarray, responses: np.ndarray, criterion) -> None:
-        self.h = h
-        self.responses = responses
-        self.criterion = criterion
-        self.cache: Dict[bytes, float] = {}
-        self.fits = 0  #: least-squares fits run
-        self.hits = 0  #: subsets answered from the cache
-
-    def fit(self, selected: np.ndarray):
-        """``(weights, sse)`` of the columns ``selected`` masks."""
-        self.fits += 1
-        return _fit_weights(self.h[:, selected], self.responses)
-
-    def __call__(self, selected: np.ndarray, size: int) -> float:
-        key = selected.tobytes()
-        value = self.cache.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
-        p = len(self.responses)
-        if size >= p - 1:  # AICc undefined; reject oversized models
-            value = np.inf
-        else:
-            value = self.criterion(p, self.fit(selected)[1], size)
-        self.cache[key] = value
-        return value
-
-
-#: A trio's (node, left, right) include bits in the order the walk scores
-#: them, each with its count of set bits.
-_TRIO_COMBOS = tuple(
-    ((bool(c & 4), bool(c & 2), bool(c & 1)), bin(c).count("1")) for c in range(8)
-)
+#: Most same-size subsets one stacked solve fits; bounds the gathered
+#: ``(group, size, p)`` block.
+_FIT_GROUP = 32
 
 
 class _Walk(NamedTuple):
@@ -339,62 +358,116 @@ def _walk(p_min: int, tree: RegressionTree, nodes: List[TreeNode],
     return _Walk(p_min, tree.depth, nodes, columns, trios)
 
 
-def _select_subset(trios: List[Tuple[int, int, int]], width: int,
-                   score: _SubsetFits) -> Tuple[np.ndarray, float]:
-    """Tree-ordered subset selection (Orr et al. 2000) over ``width`` columns.
+class _Selection(NamedTuple):
+    """One walk's outcome over one block of the stacked design."""
 
-    Include the root (column 0), then for each trio keep the best of its 8
-    include/exclude combinations; the first strict minimum wins.  Returns
-    the column mask and its criterion value.
+    selected: np.ndarray  #: column mask of the chosen centers
+    value: float  #: its criterion value
+    weights: np.ndarray
+    sse: float
+
+
+def _select_subsets(walks: Sequence[_Walk], ht: np.ndarray, width: int,
+                    responses: np.ndarray, criterion) -> List[_Selection]:
+    """Tree-ordered subset selection (Orr et al. 2000) of every walk in every block.
+
+    ``ht`` stacks blocks of ``width`` design rows, one block per alpha.
+    Every (block, walk) run includes the root (column 0), then for each of
+    its walk's trios keeps the best of the 8 include/exclude combinations,
+    the first strict minimum winning; a run left empty falls back to the
+    root alone.  The runs advance in lockstep, one trio per step, and each
+    step fits its distinct, uncached subsets together, grouped by size
+    into stacked solves (:func:`_stacked_sse`).  Each block has one
+    criterion cache shared by its walks; a subset scored again, in the
+    same step or a later one, is a cache hit.  Returns one selection per
+    run, block-major, with weights refitted by :func:`_fit_weights`.
     """
-    selected = np.zeros(width, dtype=bool)
-    selected[0] = True
-    size = 1
-    best_value = score(selected, size)
-    for a, b, c in trios:
-        best_bits = (bool(selected[a]), bool(selected[b]), bool(selected[c]))
-        rest = size - sum(best_bits)
-        for bits, count in _TRIO_COMBOS:
-            selected[a], selected[b], selected[c] = bits
-            value = score(selected, rest + count)
-            if value < best_value:
-                best_value, best_bits = value, bits
-        selected[a], selected[b], selected[c] = best_bits
-        size = rest + sum(best_bits)
-    if size == 0:  # degenerate; fall back to the root-only model
-        selected[0] = True
-        best_value = score(selected, 1)
-    return selected, best_value
+    p = len(responses)
+    blocks = len(ht) // width
+    caches: List[Dict[bytes, float]] = [{} for _ in range(blocks)]
+    offset = np.repeat(np.arange(blocks) * width, len(walks))
+    fits = hits = 0
+
+    def score(masks: np.ndarray, runs: np.ndarray) -> np.ndarray:
+        """Criterion of each column mask ``masks[i]`` of run ``runs[i]``."""
+        nonlocal fits, hits
+        sizes = masks.sum(axis=1).tolist()
+        packed = np.packbits(masks, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        owners = (runs // len(walks)).tolist()
+        fresh: Dict[int, List[int]] = {}
+        for i, (key, block, size) in enumerate(zip(keys, owners, sizes)):
+            cache = caches[block]
+            if key in cache:
+                hits += 1
+            elif size >= p - 1:  # AICc undefined; reject oversized models
+                cache[key] = np.inf
+            else:
+                cache[key] = np.nan  # filled below, once the step is fitted
+                fresh.setdefault(size, []).append(i)
+        for size, members in fresh.items():
+            fits += len(members)
+            for lo in range(0, len(members), _FIT_GROUP):
+                group = np.array(members[lo:lo + _FIT_GROUP])
+                cols = np.nonzero(masks[group])[1].reshape(len(group), size)
+                sses = _stacked_sse(ht[cols + offset[runs[group], None]], responses)
+                for i, sse in zip(group.tolist(), sses):
+                    caches[owners[i]][keys[i]] = criterion(p, sse, size)
+        return np.array([caches[b][k] for k, b in zip(keys, owners)])
+
+    count = blocks * len(walks)
+    selected = np.zeros((count, width), dtype=bool)
+    selected[:, 0] = True
+    current = score(selected, np.arange(count))  # criterion of each selection
+    steps = max(len(walk.trios) for walk in walks)
+    trios = np.zeros((len(walks), steps, 3), dtype=np.intp)
+    for w, walk in enumerate(walks):
+        trios[w, :len(walk.trios)] = np.reshape(walk.trios, (-1, 3))
+    lengths = np.array([len(walk.trios) for walk in walks])
+    for step in range(steps):
+        live = np.flatnonzero(lengths > step)
+        runs = (np.arange(blocks)[:, None] * len(walks) + live).ravel()
+        trio = np.repeat(np.tile(trios[live, step], (blocks, 1)), 8, axis=0)
+        masks = np.repeat(selected[runs], 8, axis=0)
+        masks[np.arange(len(masks))[:, None], trio] = np.tile(_TRIO_COMBOS, (len(runs), 1))
+        values = score(masks, np.repeat(runs, 8)).reshape(len(runs), 8)
+        values[np.isnan(values)] = np.inf  # a NaN never compares less
+        pick = values.argmin(axis=1)  # first minimum in _TRIO_COMBOS order
+        best = values[np.arange(len(runs)), pick]
+        won = np.flatnonzero(best < current[runs])
+        selected[runs[won]] = masks[8 * won + pick[won]]
+        current[runs[won]] = best[won]
+    empty = np.flatnonzero(~selected.any(axis=1))
+    if len(empty):  # degenerate; fall back to the root-only model
+        selected[empty, 0] = True
+        current[empty] = score(selected[empty], empty)
+
+    out = []
+    for mask, start, value in zip(selected, offset, current.tolist()):
+        weights, sse = _fit_weights(ht[start + np.flatnonzero(mask)].T, responses)
+        out.append(_Selection(mask, value, weights, sse))
+    obs.inc("fit/subset_fits", fits + count)
+    obs.inc("fit/subset_cache_hits", hits)
+    return out
 
 
-def _select_network(
-    walk: _Walk,
-    score: _SubsetFits,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    alpha: float,
-    criterion: str,
-) -> Tuple[RBFNetwork, RBFBuildInfo]:
-    """Select one tree's centers among the columns of ``score``'s matrix."""
-    selected, value = _select_subset(walk.trios, len(centers), score)
-    weights, sse = score.fit(selected)
-    network = RBFNetwork(centers[selected], radii[selected], weights)
+def _built(walk: _Walk, chosen: _Selection, centers: np.ndarray,
+           radii: np.ndarray, alpha: float,
+           criterion: str) -> Tuple[RBFNetwork, RBFBuildInfo]:
+    """The network and diagnostics of one walk's selection."""
+    mask = chosen.selected
+    network = RBFNetwork(centers[mask], radii[mask], chosen.weights)
     return network, RBFBuildInfo(
         p_min=walk.p_min,
         alpha=alpha,
         criterion_name=criterion,
-        criterion_value=float(value),
-        sse=float(sse),
+        criterion_value=float(chosen.value),
+        sse=float(chosen.sse),
         num_candidates=len(walk.nodes),
-        num_centers=int(selected.sum()),
+        num_centers=int(mask.sum()),
         tree_depth=walk.tree_depth,
-        selected_nodes=[n for n, col in zip(walk.nodes, walk.columns) if selected[col]],
+        selected_nodes=[n for n, col in zip(walk.nodes, walk.columns) if mask[col]],
     )
-
-
-def _count_fits(score: _SubsetFits) -> None:
-    obs.inc("fit/subset_fits", score.fits)
-    obs.inc("fit/subset_cache_hits", score.hits)
 
 
 def build_rbf_from_tree(
@@ -431,16 +504,17 @@ def build_rbf_from_tree(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     responses = np.asarray(responses, dtype=float).ravel()
+    _check_fit_args((alpha,), max_candidates)
     crit_fn = get_criterion(criterion)
     if tree is None:
         tree = RegressionTree(points, responses, p_min=p_min)
-    candidates = tree_candidates(points, tree, max_candidates)
-    radii = np.maximum(alpha * candidates.sizes, _MIN_RADIUS)
-    score = _SubsetFits(_design_from_diff(candidates.diff, radii), responses, crit_fn)
-    walk = _walk(p_min, tree, candidates.nodes, range(len(candidates.nodes)))
-    built = _select_network(walk, score, candidates.centers, radii, alpha, criterion)
-    _count_fits(score)
-    return built
+    candidates = tree_candidates(tree, max_candidates)
+    radii = _candidate_radii(candidates, (alpha,))
+    width = len(candidates.nodes)
+    walk = _walk(p_min, tree, candidates.nodes, range(width))
+    [chosen] = _select_subsets([walk], _candidate_design(points, candidates, radii),
+                               width, responses, crit_fn)
+    return _built(walk, chosen, candidates.centers, radii[0], alpha, criterion)
 
 
 @dataclass
@@ -492,15 +566,16 @@ def search_rbf_model(
       ``p_min`` tree is its exact :meth:`RegressionTree.truncated`.  Every
       candidate of every tree is thus a node of the one tree's breadth-first
       list, and its Gaussian column is computed once per ``alpha``.
-    * ``alpha`` is the outer loop.  The ``p_min`` walks at one ``alpha``
-      share one fit cache keyed by the selected columns, so a subset that
-      two trees both propose is fitted once.  The cache is dropped before
-      the next ``alpha``, which bounds its memory.
+    * All ``p_min`` walks at all ``alpha`` values advance together
+      (:func:`_select_subsets`).  The walks at one ``alpha`` share one fit
+      cache keyed by the selected columns, so a subset that two trees both
+      propose is fitted once.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     responses = np.asarray(responses, dtype=float).ravel()
     if not p_min_grid or not alpha_grid:
         raise ValueError("the (p_min, alpha) grid is empty")
+    _check_fit_args(alpha_grid, max_candidates)
     crit_fn = get_criterion(criterion)
     with obs.span("fit/tree", p_min=min(p_min_grid), points=len(points)) as tsp:
         base = RegressionTree(points, responses, p_min=min(p_min_grid))
@@ -513,28 +588,24 @@ def search_rbf_model(
         pairs = _paired_nodes(tree, base)[:max_candidates]
         walks.append(_walk(p_min, tree, [node for node, _ in pairs],
                            [column[id(twin)] for _, twin in pairs]))
-    geometry = tree_candidates(points, base, 1 + max(max(w.columns) for w in walks))
-
-    # ``built[i][a]`` is the network at (p_min_grid[i], alpha_grid[a]).
-    built: List[List[Tuple[RBFNetwork, RBFBuildInfo]]] = [[] for _ in walks]
-    for alpha in alpha_grid:
-        radii = np.maximum(alpha * geometry.sizes, _MIN_RADIUS)
-        score = _SubsetFits(_design_from_diff(geometry.diff, radii), responses, crit_fn)
-        for row, walk in zip(built, walks):
-            row.append(_select_network(walk, score, geometry.centers, radii,
-                                       alpha, criterion))
-        _count_fits(score)
-        del score  # drop this alpha's cache before the next design matrix
+    width = 1 + max(max(w.columns) for w in walks)
+    geometry = tree_candidates(base, width)
+    radii = _candidate_radii(geometry, alpha_grid)
+    chosen = _select_subsets(walks, _candidate_design(points, geometry, radii),
+                             width, responses, crit_fn)
 
     best: Optional[Tuple[RBFNetwork, RBFBuildInfo]] = None
     tried: List[RBFBuildInfo] = []
-    for network, info in (entry for row in built for entry in row):
-        tried.append(info)
-        obs.inc("aicc_iterations")
-        if np.isfinite(info.criterion_value):
-            obs.observe("fit/criterion", info.criterion_value)
-        if best is None or info.criterion_value < best[1].criterion_value:
-            best = (network, info)
+    for w, walk in enumerate(walks):
+        for a, alpha in enumerate(alpha_grid):
+            network, info = _built(walk, chosen[a * len(walks) + w],
+                                   geometry.centers, radii[a], alpha, criterion)
+            tried.append(info)
+            obs.inc("aicc_iterations")
+            if np.isfinite(info.criterion_value):
+                obs.observe("fit/criterion", info.criterion_value)
+            if best is None or info.criterion_value < best[1].criterion_value:
+                best = (network, info)
     assert best is not None
     obs.inc("fit/searches")
     return RBFSearchResult(network=best[0], info=best[1], tried=tried)

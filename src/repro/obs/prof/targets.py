@@ -206,22 +206,25 @@ def bench_aicc_selection(ctx):
 
 @benchmark("sampling/centered_l2", group="sampling", tolerance=5.0)
 def bench_centered_l2(ctx):
-    """Centered-L2 discrepancy of an LHS sample (the sample-search inner loop)."""
-    from repro.core.design_space import paper_design_space
-    from repro.sampling.discrepancy import centered_l2_discrepancy
-    from repro.sampling.lhs import latin_hypercube
+    """A build's sample step: the best of 64 LHS candidates by CD2.
 
-    p = ctx.scale(256, 64)
-    rng = np.random.default_rng(BENCH_SEED)
+    :func:`~repro.sampling.optimizer.best_lhs_sample` draws all 64
+    candidates, then scores them by centered L2 discrepancy in one batched
+    pass, at the refit sweep's largest (full) and smallest (quick) size.
+    """
+    from repro.core.design_space import paper_design_space
+    from repro.sampling.optimizer import best_lhs_sample
+
+    p = ctx.scale(110, 30)
     space = paper_design_space()
-    sample = latin_hypercube(space, p, rng)
 
     def work():
-        value = centered_l2_discrepancy(sample)
+        sample = best_lhs_sample(space, p, BENCH_SEED, candidates=64)
         return {
-            "points": int(sample.shape[0]),
-            "dims": int(sample.shape[1]),
-            "value_hash": stable_hash(round(value, 12)),
+            "points": int(sample.points.shape[0]),
+            "dims": int(sample.points.shape[1]),
+            "candidates": sample.candidates,
+            "value_hash": stable_hash(round(sample.discrepancy, 12)),
         }
 
     return work

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.design_space import DesignSpace
-from repro.sampling.discrepancy import centered_l2_discrepancy
+from repro.sampling.discrepancy import centered_l2_discrepancies
 from repro.sampling.lhs import latin_hypercube
 from repro.util.rng import make_rng
 
@@ -75,17 +75,22 @@ def best_lhs_sample(
         Number of LHS candidates to generate ("a large number" in the
         paper; 64 by default, more gives marginally better discrepancy).
     metric:
-        Discrepancy function (defaults to the centered L2 discrepancy).
+        Discrepancy function, called once per candidate.  By default all
+        candidates are drawn first and scored by the centered L2
+        discrepancy in one batched pass.
     """
     if candidates < 1:
         raise ValueError("candidates must be >= 1")
-    metric = metric or centered_l2_discrepancy
+    samples = [latin_hypercube(space, count, make_rng(seed, "lhs-candidate", count, i),
+                               jitter=jitter)
+               for i in range(candidates)]
+    if metric is None:
+        values = centered_l2_discrepancies(np.stack(samples)).tolist()
+    else:
+        values = [metric(pts) for pts in samples]
     best_points: Optional[np.ndarray] = None
     best_value = np.inf
-    for i in range(candidates):
-        rng = make_rng(seed, "lhs-candidate", count, i)
-        pts = latin_hypercube(space, count, rng, jitter=jitter)
-        value = metric(pts)
+    for pts, value in zip(samples, values):
         if value < best_value:
             best_value = value
             best_points = pts

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sampling.discrepancy import centered_l2_discrepancy, star_l2_discrepancy
+from repro.sampling import discrepancy
+from repro.sampling.discrepancy import (centered_l2_discrepancies,
+                                        centered_l2_discrepancy, star_l2_discrepancy)
 from repro.sampling.lhs import latin_hypercube
 from repro.util.rng import make_rng
 
@@ -81,3 +83,40 @@ def test_discrepancies_are_finite_and_nonnegative(p, n, seed):
         value = fn(pts)
         assert np.isfinite(value)
         assert value >= 0.0
+
+
+def _cd2_formula(x):
+    """CD2 through the whole ``(p, p, n)`` cross array, the closed form as
+    written: the oracle for the chunked, batched pass."""
+    p, n = x.shape
+    d = np.abs(x - 0.5)
+    term1 = (13.0 / 12.0) ** n
+    term2 = (2.0 / p) * np.prod(1.0 + 0.5 * d - 0.5 * d**2, axis=1).sum()
+    di = d[:, None, :]
+    dj = d[None, :, :]
+    dij = np.abs(x[:, None, :] - x[None, :, :])
+    cross = np.prod(1.0 + 0.5 * di + 0.5 * dj - 0.5 * dij, axis=2)
+    term3 = cross.sum() / p**2
+    return float(np.sqrt(max(term1 - term2 + term3, 0.0)))
+
+
+@pytest.mark.parametrize("p", [2, 5, 16, 64, 110, 181, 256])
+def test_batched_centered_l2_matches_the_formula_bitwise(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 3, 5, 9, 12):
+        samples = rng.random((7, p, n))
+        # Snapped like decoded LHS points, so |x_i - x_j| ties occur.
+        samples[::2] = np.round(samples[::2] * (p - 1)) / (p - 1)
+        want = [_cd2_formula(x) for x in samples]
+        assert [centered_l2_discrepancy(x) for x in samples] == want
+        # The module's chunk, then three samples a chunk: 7 leaves one over.
+        for chunk in (discrepancy._CHUNK, 3 * p * p):
+            monkeypatch.setattr(discrepancy, "_CHUNK", chunk)
+            assert centered_l2_discrepancies(samples).tolist() == want
+
+
+def test_batched_centered_l2_checks_its_stack():
+    with pytest.raises(ValueError):
+        centered_l2_discrepancies(np.full((2, 3, 2), 0.5)[0])
+    with pytest.raises(ValueError):
+        centered_l2_discrepancies(np.full((2, 3, 2), 1.5))

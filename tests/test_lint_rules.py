@@ -693,6 +693,18 @@ class TestFramework:
         result = lint_source(tmp_path, "def broken(:\n")
         assert rule_ids(result) == ["SYN001"]
 
+    def test_undecodable_file_becomes_finding(self, tmp_path):
+        (tmp_path / "latin1.py").write_bytes(b"x = 1\n\xff\xfe = 2\n")
+        result = lint_source(tmp_path, """\
+            import numpy as np
+            x = np.random.random(4)
+            """)
+        assert result.files_checked == 2
+        assert rule_ids(result) == ["RNG001", "SYN001"]  # the rest is linted
+        [syn] = [f for f in result.findings if f.rule == "SYN001"]
+        assert (Path(syn.path).name, syn.line, syn.message) == (
+            "latin1.py", 2, "cannot decode as UTF-8")
+
     def test_bare_noqa_suppresses_all_rules(self, tmp_path):
         result = lint_source(tmp_path, """\
             import numpy as np

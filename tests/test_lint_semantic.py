@@ -542,6 +542,17 @@ class TestChangedMode:
         assert rule_ids(result) == ["DET001"]
         assert "SimulationRunner.metric" in result.findings[0].message
 
+    def test_undecodable_unchanged_file_is_left_out_of_the_graph(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "latin1.py").write_bytes(b"\xff\xfe = 2\n")
+        self._seed_repo(tmp_path)
+        (tmp_path / "helpers.py").write_text("def compute(x):\n    return x\n")
+        monkeypatch.chdir(tmp_path)
+        result = LintRunner(select=SEMANTIC_RULES).run(
+            [str(tmp_path)], changed_ref="HEAD")
+        assert result.files_checked == 1
+        assert result.findings == []
+
     def test_no_changes_means_nothing_linted(self, tmp_path, monkeypatch):
         self._seed_repo(tmp_path)
         monkeypatch.chdir(tmp_path)

@@ -40,6 +40,13 @@ class TestBestLhsSample:
         with pytest.raises(ValueError):
             best_lhs_sample(small_space, 10, seed=0, candidates=0)
 
+    def test_batched_scoring_picks_what_per_candidate_calls_pick(self, small_space):
+        batched = best_lhs_sample(small_space, 23, seed=5, candidates=40)
+        called = best_lhs_sample(small_space, 23, seed=5, candidates=40,
+                                 metric=centered_l2_discrepancy)
+        assert batched.points.tobytes() == called.points.tobytes()
+        assert batched.discrepancy == called.discrepancy
+
     def test_custom_metric(self, small_space):
         # With a constant metric, the first candidate is kept.
         s = best_lhs_sample(small_space, 10, seed=0, candidates=4, metric=lambda p: 1.0)

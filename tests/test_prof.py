@@ -12,11 +12,15 @@ worker-collector adoption under ``jobs>1`` with a live collector.
 """
 
 import json
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
 from repro.cli import main as cli_main
 from repro.core.design_space import paper_design_space
@@ -394,6 +398,19 @@ class TestTraceCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"] == "test"
         assert any(row["name"] == "simulate" for row in doc["spans"])
+
+    def test_summary_loads_no_bench_or_gate(self, tmp_path):
+        """The text summary needs only the trace reader: ``repro.obs.prof``
+        (and with it the bench harness and gate) stays unloaded."""
+        path = self._write(tmp_path)
+        code = ("import sys\n"
+                "from repro.cli import main\n"
+                f"assert main(['trace', 'summary', {str(path)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('repro.obs.prof')))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("command", ["summary", "profile"])
     def test_missing_file_exits_one_line(self, tmp_path, command):

@@ -181,7 +181,52 @@ class TestSearch:
             "fit/subset_fits": 8729.0, "fit/subset_cache_hits": 2071.0,
         }
 
+    def test_search_traced_peak_is_bounded(self):
+        """The lockstep walks keep every alpha's design rows and fit cache
+        alive at once.  Chunked design rows, capped fit stacks and packed
+        cache keys hold a 110-point search's traced peak near the 4.06 MiB
+        that searching one alpha at a time took."""
+        import tracemalloc
+
+        rng = np.random.default_rng(20060101)
+        x = rng.random((110, 9))
+        y = np.cos(x @ np.arange(1.0, 10.0)) + 0.05 * rng.random(110)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            search_rbf_model(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
+
     def test_empty_grid_rejected(self, rng):
         x = rng.random((10, 2))
         with pytest.raises(ValueError):
             search_rbf_model(x, x[:, 0], alpha_grid=())
+
+
+def _fit(entry, x, y, alpha=6.0, max_candidates=255):
+    if entry == "build":
+        return build_rbf_from_tree(x, y, alpha=alpha, max_candidates=max_candidates)
+    return search_rbf_model(x, y, alpha_grid=(6.0, alpha),
+                            max_candidates=max_candidates)
+
+
+class TestFitArguments:
+    """Both entry points name a bad argument instead of failing deep in
+    the fit (``max_candidates=0``) or fitting the radius floor (``alpha``
+    of zero, below zero or not finite)."""
+
+    @pytest.mark.parametrize("entry", ["build", "search"])
+    def test_max_candidates_below_one(self, rng, entry):
+        x = rng.random((20, 2))
+        with pytest.raises(ValueError, match="max_candidates"):
+            _fit(entry, x, x[:, 0], max_candidates=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", ["build", "search"])
+    def test_alpha_positive_and_finite(self, rng, entry, alpha):
+        x = rng.random((20, 2))
+        with pytest.raises(ValueError, match="alpha"):
+            _fit(entry, x, x[:, 0], alpha=alpha)

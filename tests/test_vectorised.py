@@ -242,7 +242,8 @@ class TestRBFVectorised:
     def test_candidate_cache_is_bitwise_transparent(self):
         from repro.models.rbf import (
             _MIN_RADIUS,
-            _design_from_diff,
+            _candidate_design,
+            _candidate_radii,
             build_rbf_from_tree,
             gaussian_design_matrix,
             tree_candidates,
@@ -251,12 +252,20 @@ class TestRBFVectorised:
 
         points, responses = self._sample()
         tree = RegressionTree(points, responses, p_min=2)
-        cand = tree_candidates(points, tree)
-        for alpha in (2.0, 6.0, 12.0):
+        cand = tree_candidates(tree)
+        alphas = (2.0, 6.0, 12.0)
+        # The search's design: every alpha's transposed matrix in one
+        # stack, built in row chunks that straddle the alpha blocks.
+        stacked = _candidate_design(points, cand, _candidate_radii(cand, alphas))
+        m = len(cand.nodes)
+        for a, alpha in enumerate(alphas):
             radii = np.maximum(alpha * cand.sizes, _MIN_RADIUS)
             direct = gaussian_design_matrix(points, cand.centers, radii)
-            cached = _design_from_diff(cand.diff, radii)
-            np.testing.assert_array_equal(direct, cached)  # bitwise
+            # The unchunked (p, m, n) broadcast, as the oracle.
+            diff = points[:, None, :] - cand.centers[None, :, :]
+            broadcast = np.exp(-((diff / radii[None, :, :]) ** 2).sum(axis=2))
+            np.testing.assert_array_equal(direct, broadcast)  # bitwise
+            np.testing.assert_array_equal(stacked[a * m:(a + 1) * m], direct.T)
             fresh_net, fresh_info = build_rbf_from_tree(
                 points, responses, p_min=2, alpha=alpha
             )
@@ -340,11 +349,12 @@ class TestRBFVectorised:
         """The ridge keeps ``solve`` from raising on real samples, duplicate
         points included, so a ``solve`` that refuses every Gram matrix of
         size divisible by 3 drives the ``LinAlgError`` -> ``lstsq``
-        fallback for the same subsets in both paths."""
+        fallback for the same subsets in both paths.  A stacked call holds
+        Gram matrices of one size, so it is refused whole."""
         real_solve = np.linalg.solve
 
         def refusing_solve(a, b):
-            if a.shape[0] % 3 == 0:
+            if a.shape[-1] % 3 == 0:
                 raise np.linalg.LinAlgError("refused")
             return real_solve(a, b)
 
