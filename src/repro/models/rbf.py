@@ -186,10 +186,21 @@ class RBFNetwork(Model):
         point sits inside some basis function's footprint, large means
         every unit has decayed to ~0 there and the network output is just
         the sum of far tails: classic silent extrapolation.
+
+        Points go in blocks of about ``_CHUNK`` difference elements, as in
+        :func:`_gaussian_rows`, so no ``(p, m, n)`` difference array is
+        ever held, and each block is scaled and squared in place.  Every
+        element is computed as by the unchunked broadcast (``z * z`` is
+        ``z ** 2``), so the bits do not depend on the blocking.
         """
-        diff = points[:, None, :] - self.centers[None, :, :]
-        z2 = ((diff / self.radii[None, :, :]) ** 2).sum(axis=2)
-        return np.sqrt(z2.min(axis=1))
+        out = np.empty(len(points))
+        step = max(1, _CHUNK // max(1, self.centers.size))
+        for lo in range(0, len(points), step):
+            z = points[lo:lo + step, None, :] - self.centers
+            z /= self.radii
+            z *= z
+            np.sqrt(z.sum(axis=2).min(axis=1), out=out[lo:lo + step])
+        return out
 
     def calibrate(self, points: np.ndarray,
                   responses: np.ndarray) -> Uncertainty:

@@ -37,8 +37,11 @@ depth x window x memory interaction the paper's non-linear models capture.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Optional
+
+import numpy as np
 
 from repro import obs
 from repro.simulator import isa
@@ -183,9 +186,11 @@ class OutOfOrderCore:
         lsq = cfg.lsq_size
         line_bits = hier.il1.line_bits
         op_timing = isa.OP_TIMING
-        # Per op class: its FU pool's unit free times and its initiation interval.
+        # Per op class: its FU pool's unit free times (a min-heap) and its
+        # initiation interval.
         fu_free = fu_pools(cfg)
         fu_interval = [op_timing[op][1] for op in range(isa.NUM_OP_CLASSES)]
+        heapreplace = heapq.heapreplace
         load_op, store_op = isa.LOAD, isa.STORE
         # D-L1 probe state (see the module docstring); the counts fold into
         # the cache at the warmup boundary and at the end of the run.
@@ -283,11 +288,11 @@ class OutOfOrderCore:
                 t = complete[i - s2]
                 if t > issue:
                     issue = t
-            # Earliest-free unit of the op's pool; ties go to the first.
+            # The pool's earliest-free unit, the root of its free-time heap.
             free = fu_free[op]
-            best = min(free)
+            best = free[0]
             start = issue if issue >= best else best
-            free[free.index(best)] = start + fu_interval[op]
+            heapreplace(free, start + fu_interval[op])
             issue_at[i] = start
 
             # ---- execute ----------------------------------------------------
@@ -475,8 +480,9 @@ class OutOfOrderCore:
         self._add_dl1_counts(dl1_acc, dl1_miss)
         end = self._counters()
         delta = {k: end[k] - warm_counters[k] for k in end}
-        # Branch counts come from the trace's outcome stream.
-        delta["branches"] = ops[warmup:].count(isa.BRANCH)
+        # Branch counts come from the trace's op and outcome streams.
+        is_branch = trace.op == isa.BRANCH
+        delta["branches"] = int(np.count_nonzero(is_branch[warmup:]))
         delta["mispredicts"] = outcomes.count(PREDICT_MISPREDICT, warmup)
         measured_instr = n - warmup
         cycles = commit[-1] + 1.0 - warm_commit
@@ -486,7 +492,7 @@ class OutOfOrderCore:
 
         full_stats = hier.stats()
         energy = estimate_energy(
-            cfg, n, commit[-1] + 1.0, full_stats, ops.count(isa.BRANCH)
+            cfg, n, commit[-1] + 1.0, full_stats, int(np.count_nonzero(is_branch))
         )
         if obs.enabled():
             # Per-simulation instruction/cycle throughput accounting; pure

@@ -6,6 +6,13 @@ a unit at time ``t`` starts on the earliest-free unit no sooner than ``t``;
 the unit is then busy for the op's initiation interval (1 for pipelined
 units, close to the latency for the unpipelined dividers).  The core runs
 that arbitration inline, on the tables built here.
+
+A pool's units are interchangeable: only the multiset of their free times
+decides when the next op starts.  So each pool is kept as a min-heap of
+free times, and a claim reads the root and replaces it with
+``start + interval`` (one :func:`heapq.heapreplace`), which changes the
+multiset exactly as overwriting the first earliest-free entry of a plain
+list would.
 """
 
 from __future__ import annotations
@@ -19,9 +26,12 @@ from repro.simulator import isa
 def fu_pools(config: ProcessorConfig) -> List[List[float]]:
     """Per op class, the per-unit free times of its functional-unit pool.
 
-    Op classes that share a pool (:data:`repro.simulator.isa.FU_CLASS`)
+    Each list is a :mod:`heapq` min-heap: read only its root ``free[0]``
+    and update it only through :func:`heapq.heapreplace`.  Every unit
+    starts free at time 0, and an all-zero list is already a heap.  Op
+    classes that share a pool (:data:`repro.simulator.isa.FU_CLASS`)
     share one list object, so a unit one of them claims is busy for the
-    others.  Every unit starts free at time 0.
+    others.
     """
     pools = {
         "ialu": [0.0] * config.num_ialu,

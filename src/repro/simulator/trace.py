@@ -110,7 +110,7 @@ class Trace:
         sl = slice(start, stop)
         src1 = self.src1[sl].copy()
         src2 = self.src2[sl].copy()
-        idx = np.arange(stop - start)
+        idx = np.arange(len(src1))
         src1[src1 > idx] = 0
         src2[src2 > idx] = 0
         return Trace(

@@ -1,9 +1,11 @@
 """Tests for functional-unit pools and structural hazards.
 
-The core arbitrates its FU pools inline, so these drive it with small
-hand-built traces (all PCs in one I-cache line) and read each op's unit
-start time off the timeline.  An op with no operands asks for a unit one
-cycle after it dispatches; any later start is a structural wait.
+The core arbitrates its FU pools inline, each pool a min-heap of unit
+free times, so these drive it with small hand-built traces (all PCs in
+one I-cache line) and read each op's unit start time off the timeline.
+An op with no operands asks for a unit one cycle after it dispatches;
+any later start is a structural wait.  Which unit of a pool serves an
+op is not observable, only when it starts.
 """
 
 import pytest

@@ -147,9 +147,14 @@ TOGGLES = (
 )
 
 
+#: Units per functional-unit pool; every property runs pools of 1–4 units.
+FU_COUNTS = ("num_ialu", "num_imult", "num_fp", "num_mem_ports")
+
+
 @st.composite
 def machines(draw):
-    """Config kwargs: the 9 design parameters, the toggles, the predictor."""
+    """Config kwargs: the 9 design parameters, the FU pool sizes, the
+    toggles, the predictor."""
     rob = draw(st.integers(8, 128))
     kwargs = {
         "pipe_depth": draw(st.integers(7, 24)),
@@ -161,6 +166,7 @@ def machines(draw):
         "il1_size_kb": draw(st.sampled_from([8, 16, 32, 64])),
         "dl1_size_kb": draw(st.sampled_from([8, 16, 32, 64])),
         "dl1_lat": draw(st.integers(1, 4)),
+        **{name: draw(st.integers(1, 4)) for name in FU_COUNTS},
         "bpred_kind": draw(st.sampled_from(
             ["bimodal", "gshare", "tournament", "perceptron"])),
         "bpred_entries": draw(st.sampled_from([256, 4096])),

@@ -14,7 +14,12 @@ satisfy:
   cycle;
 * **capacity**: instruction ``i`` cannot dispatch until ``i - rob_size``
   has committed (ROB), ``i - iq_size`` has issued (IQ), and the
-  ``m - lsq_size``-th memory op has committed (LSQ).
+  ``m - lsq_size``-th memory op has committed (LSQ);
+* **FU replay**: each instruction asks for a unit at
+  ``max(dispatch + 1, complete of its producers)``, and replaying every
+  pool as a plain list of unit free times in program order (take the
+  first strict minimum, start no sooner than it, keep that unit busy for
+  the op's initiation interval) gives exactly the issue times.
 """
 
 from collections import Counter
@@ -80,6 +85,19 @@ def check_invariants(config, trace, tl):
     for m_idx in range(lsq, len(mem)):
         assert (tl.commit[mem[m_idx - lsq]] + 1.0
                 <= tl.dispatch[mem[m_idx]]), mem[m_idx]
+
+    # FU replay: an independent list scan, not the core's heaps.
+    pools = {"ialu": [0.0] * config.num_ialu, "imult": [0.0] * config.num_imult,
+             "fp": [0.0] * config.num_fp, "mem": [0.0] * config.num_mem_ports}
+    for i, (op, s1, s2) in enumerate(zip(trace.op.tolist(), trace.src1.tolist(),
+                                         trace.src2.tolist())):
+        asked = max([tl.dispatch[i] + 1.0]
+                    + [tl.complete[i - s] for s in (s1, s2) if s])
+        free = pools[isa.FU_CLASS[op]]
+        unit = free.index(min(free))
+        start = max(asked, free[unit])
+        free[unit] = start + isa.OP_TIMING[op][1]
+        assert tl.issue[i] == start, i
 
 
 @pytest.mark.parametrize("bench", benchmark_names())

@@ -76,6 +76,18 @@ class TestUtilities:
         assert s.src1[0] == 0
         s.validate()
 
+    def test_slice_past_the_end_keeps_the_tail(self):
+        t = generate_trace(PROFILES["mcf"], 100, seed=0)
+        s = t.slice(90, 120)
+        assert len(s) == 10
+        np.testing.assert_array_equal(s.op, t.op[90:])
+        np.testing.assert_array_equal(s.addr, t.addr[90:])
+        # Dependences reaching before instruction 90 are clipped to none.
+        idx = np.arange(10)
+        for sliced, full in ((s.src1, t.src1[90:]), (s.src2, t.src2[90:])):
+            np.testing.assert_array_equal(sliced, np.where(full > idx, 0, full))
+        s.validate()
+
     def test_rows_iteration(self):
         rows = list(make_trace().rows())
         assert len(rows) == 3
