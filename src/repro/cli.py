@@ -518,18 +518,13 @@ def _load_runs_or_exit(path: Optional[str] = None):
 
 
 def _matches_filters(record: dict, args: argparse.Namespace) -> bool:
-    """The ``history list``/``trend`` record filters (see ``iter_runs``)."""
-    if args.filter_command and record.get("command") != args.filter_command:
-        return False
-    if args.benchmark and record.get("benchmark") != args.benchmark:
-        return False
-    git_sha = getattr(args, "git_sha", None)
-    if git_sha and not (record.get("git_sha") or "").startswith(git_sha):
-        return False
-    since = getattr(args, "since", None)
-    if since and (record.get("started") or "") < since:
-        return False
-    return True
+    """The ``history list``/``trend`` record filters."""
+    from repro.obs import history
+
+    return history.run_matches(record, command=args.filter_command,
+                               benchmark=args.benchmark,
+                               git_sha=getattr(args, "git_sha", None),
+                               since=getattr(args, "since", None))
 
 
 def _cell(value, fmt: str) -> str:

@@ -64,7 +64,7 @@ def runner_cost_snapshot() -> Dict[str, object]:
 
     ``{"benchmarks": [...], "metrics": <snapshot>}`` — the cumulative
     cost behind everything computed so far in this process, in the same
-    snapshot shape :func:`repro.obs.build_manifest` expects.  This is the
+    snapshot shape :func:`repro.obs.snapshot_manifest` expects.  This is the
     public seam exhibit manifests and the run-history ledger read instead
     of poking at the memo tables.
     """

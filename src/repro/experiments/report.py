@@ -23,11 +23,11 @@ def _exhibit_manifest(name: str) -> dict:
     from repro.experiments import common
 
     cost = common.runner_cost_snapshot()
-    return obs.build_manifest(
-        command=f"exhibit:{name}",
-        seed=common.EXPERIMENT_SEED,
+    return obs.snapshot_manifest(
+        obs.build_manifest(f"exhibit:{name}"),
         metrics=cost["metrics"],
         extra={
+            "seed": common.EXPERIMENT_SEED,
             "benchmarks": cost["benchmarks"],
             "test_seed": common.TEST_SEED,
         },

@@ -1,11 +1,12 @@
-"""Observability rules: the seam table (OBS001–OBS003, OBS005, OBS006)
+"""Observability rules: the seam table (OBS001–OBS003, OBS005–OBS007)
 and OBS004 (no blocking calls reachable from async serving handlers).
 
 A *seam* is the one place a side effect may happen: the console
 (:func:`repro.obs.echo`), the clock (:func:`repro.obs.monotonic`),
 artifact files (:mod:`repro.models.io`, :mod:`repro.models.registry`),
-shared-file persistence (:mod:`repro.util.store`) and run records
-(:mod:`repro.obs.history.ledger`).  A library module that goes around
+shared-file persistence (:mod:`repro.util.store`), run records
+(:mod:`repro.obs.history.ledger`) and run provenance
+(:func:`repro.obs.manifest.provenance`).  A library module that goes around
 one writes output traces cannot capture, durations tests cannot fake,
 artifacts with no provenance, or records the history gate never sees.
 Each row of :data:`SEAMS` is the check "primitive P only in modules M";
@@ -149,6 +150,24 @@ SEAMS = (
         hint="record runs through repro.obs.history.record_run",
         allowed=("repro.obs.history.ledger",),
         call_names=frozenset({"append_run", "write_manifest"}),
+    ),
+    Seam(
+        id="OBS007",
+        title="run provenance read outside repro.obs.manifest",
+        rationale=(
+            "Manifests, model cards, bench results and /version carry the "
+            "same git SHA, package, Python and numpy versions, platform "
+            "and hostname, read once per process by "
+            "repro.obs.manifest.provenance(); a second reader runs git "
+            "again and can record different values for one run."
+        ),
+        hint="take the field from repro.obs.provenance()",
+        allowed=("repro.obs.manifest",),
+        calls=frozenset({
+            "platform.python_version", "platform.platform", "platform.node",
+            "importlib.metadata.version",
+        }),
+        refs=frozenset({"numpy.__version__"}),
     ),
 )
 

@@ -29,6 +29,7 @@ from repro.models.mlp import MLPModel
 from repro.models.rbf import RBFNetwork
 from repro.models.spline import Hinge, SplineModel, SplineTerm
 from repro.models.tree import RegressionTree
+from repro.util.store import write_atomic
 
 FORMAT_VERSION = 2
 
@@ -162,7 +163,7 @@ def save_model(
     parameter_names: Optional[List[str]] = None,
     metadata: Optional[dict] = None,
 ) -> Path:
-    """Write ``model`` to ``path`` as JSON.
+    """Atomically replace ``path`` with ``model`` as JSON.
 
     ``parameter_names`` (the design space's ordering) and free-form
     ``metadata`` (benchmark, sample size, error report...) are stored
@@ -171,7 +172,7 @@ def save_model(
     """
     payload = encode_model(model, parameter_names, metadata)
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=1))
+    write_atomic(path, json.dumps(payload, indent=1))
     return path
 
 

@@ -408,11 +408,11 @@ def baseline_document(
 
 def write_baseline(document: Mapping[str, Any],
                    path: Union[str, Path]) -> Path:
-    """Write a probe baseline as canonical sorted-key JSON."""
+    """Atomically replace ``path`` with a probe baseline as sorted-key JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(dict(document), indent=1, sort_keys=True,
-                               allow_nan=False) + "\n", encoding="utf-8")
+    store.write_atomic(path, json.dumps(dict(document), indent=1,
+                                        sort_keys=True, allow_nan=False) + "\n")
     return path
 
 

@@ -13,8 +13,9 @@ A dependency-free layer of five pieces:
   ``repro trace summary``;
 * **run manifests** (:mod:`repro.obs.manifest`) — the provenance record
   (seed, design-space hash, git SHA, version, cost, metric totals)
-  written next to every result, snapshottable mid-process via
-  :func:`snapshot_manifest`;
+  written next to every result: :func:`build_manifest` stamps a run's
+  identity from :func:`provenance` (read once per process) and
+  :func:`snapshot_manifest` fills in what it measured;
 * **live telemetry** (:mod:`repro.obs.live`) — the continuous half for
   processes that never exit: a streaming trace sink with rotation that a
   :class:`Collector` built with ``sink=`` feeds root by root, windowed
@@ -32,8 +33,8 @@ from repro.obs.manifest import (
     build_manifest,
     cache_hit_rate,
     design_space_hash,
-    git_sha,
     package_version,
+    provenance,
     read_manifest,
     snapshot_manifest,
     write_manifest,
@@ -76,11 +77,11 @@ __all__ = [
     "design_space_hash",
     "echo",
     "enabled",
-    "git_sha",
     "inc",
     "monotonic",
     "observe",
     "package_version",
+    "provenance",
     "read_manifest",
     "read_trace",
     "recent_failures",

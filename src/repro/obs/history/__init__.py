@@ -19,10 +19,10 @@ from repro.obs.history.ledger import (
     HISTORY_SCHEMA_VERSION,
     append_run,
     default_history_path,
-    iter_runs,
     load_runs,
     record_from_manifest,
     record_run,
+    run_matches,
 )
 from repro.obs.history.report import render_html, write_html
 from repro.obs.history.trend import (
@@ -53,7 +53,6 @@ __all__ = [
     "default_history_path",
     "diff_as_dict",
     "diff_traces",
-    "iter_runs",
     "latest_gate",
     "load_runs",
     "mad",
@@ -64,6 +63,7 @@ __all__ = [
     "render_diff",
     "render_html",
     "render_trend",
+    "run_matches",
     "series",
     "sparkline",
     "trend_document",

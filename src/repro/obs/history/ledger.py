@@ -18,7 +18,7 @@ defeats its purpose.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.manifest import write_manifest
 from repro.util import store
@@ -145,30 +145,23 @@ def load_runs(
     return store.read_jsonl(path)
 
 
-def iter_runs(
-    path: Optional[Union[str, Path]] = None,
+def run_matches(
+    record: Mapping[str, Any],
     command: Optional[str] = None,
     benchmark: Optional[str] = None,
     git_sha: Optional[str] = None,
     since: Optional[str] = None,
-) -> Iterator[Dict[str, Any]]:
-    """Iterate ledger records, optionally filtered.
+) -> bool:
+    """Whether a ledger record passes the ``repro history`` filters.
 
-    ``command`` and ``benchmark`` match exactly; ``git_sha`` matches any
-    prefix of the recorded SHA (so short SHAs work); ``since`` is an
-    ISO-8601 timestamp compared lexically against each record's
-    ``started`` (ISO UTC strings sort chronologically).
+    A filter left ``None`` or empty passes everything.  ``command`` and
+    ``benchmark`` match exactly; ``git_sha`` matches any prefix of the
+    recorded SHA (so short SHAs work); ``since`` is an ISO-8601 timestamp
+    compared lexically against the record's ``started`` (ISO UTC strings
+    sort chronologically).
     """
-    runs, _ = load_runs(path)
-    for record in runs:
-        if command is not None and record.get("command") != command:
-            continue
-        if benchmark is not None and record.get("benchmark") != benchmark:
-            continue
-        if git_sha is not None:
-            sha = record.get("git_sha") or ""
-            if not sha.startswith(git_sha):
-                continue
-        if since is not None and (record.get("started") or "") < since:
-            continue
-        yield record
+    return ((not command or record.get("command") == command)
+            and (not benchmark or record.get("benchmark") == benchmark)
+            and (not git_sha
+                 or (record.get("git_sha") or "").startswith(git_sha))
+            and (not since or (record.get("started") or "") >= since))

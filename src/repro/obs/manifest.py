@@ -12,11 +12,15 @@ in effect, the git commit of the working tree (when available), the
 installed package version, Python/numpy/platform identification
 (``python_version`` and ``numpy_version`` — numeric artifacts are only
 bitwise-comparable within one numpy/BLAS stack), wall and CPU time, and
-the run's metric totals.
+the run's metric totals.  :func:`build_manifest` stamps the identity
+fields when a run starts, taking the provenance from :func:`provenance`
+(read once per process); :func:`snapshot_manifest` fills in what the run
+measured.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -53,13 +57,8 @@ def package_version() -> str:
         return __version__
 
 
-def numpy_version() -> Optional[str]:
-    """The installed numpy version, or ``None`` when numpy is absent.
-
-    Model artifacts are numeric: a bitwise-reproducibility claim is only
-    meaningful together with the numpy/BLAS stack that produced the
-    numbers, so manifests record it explicitly.
-    """
+def _numpy_version() -> Optional[str]:
+    """The installed numpy version, or ``None`` when numpy is absent."""
     try:
         import numpy
     except ImportError:  # the library degrades, the manifest records it
@@ -67,20 +66,40 @@ def numpy_version() -> Optional[str]:
     return numpy.__version__
 
 
-def git_sha(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
+def _git_sha() -> Optional[str]:
     """The current git commit SHA, or ``None`` outside a repository."""
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
-            capture_output=True, text=True, timeout=5,
-        )
+        proc = subprocess.run(["git", "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=5)
     except (OSError, subprocess.TimeoutExpired):
         return None
     if proc.returncode != 0:
         return None
-    sha = proc.stdout.strip()
-    return sha or None
+    return proc.stdout.strip() or None
+
+
+@functools.lru_cache(maxsize=None)
+def _read_provenance() -> Dict[str, Any]:
+    return {
+        "git_sha": _git_sha(),
+        "version": package_version(),
+        "python_version": platform.python_version(),
+        "numpy_version": _numpy_version(),
+        "platform": platform.platform(),
+        "hostname": platform.node(),
+    }
+
+
+def provenance() -> Dict[str, Any]:
+    """Which code ran where: git SHA, versions, platform and hostname.
+
+    Read once per process, on the first call (one ``git rev-parse``);
+    later calls return copies.  Manifests, model cards, bench results and
+    the server's ``/version`` all take these fields from here.  Model
+    artifacts are numeric, so a bitwise-reproducibility claim holds only
+    within the ``numpy_version`` (and BLAS stack) that produced them.
+    """
+    return dict(_read_provenance())
 
 
 def design_space_hash(space: Any) -> Optional[str]:
@@ -124,100 +143,59 @@ def cache_hit_rate(metrics: Optional[Mapping[str, Any]]) -> Optional[float]:
     return round(hits / lookups, 6)
 
 
-def build_manifest(
-    command: str,
-    seed: Optional[int] = None,
-    design_space: Any = None,
-    overrides: Optional[Mapping[str, Any]] = None,
-    metrics: Optional[Mapping[str, Any]] = None,
-    wall_time_s: Optional[float] = None,
-    cpu_time_s: Optional[float] = None,
-    jobs: Optional[int] = None,
-    extra: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Assemble a manifest dict for one run.
+def build_manifest(command: str) -> Dict[str, Any]:
+    """A new manifest for one run of ``command``, stamped at this call.
 
-    ``started`` is the time of this call: build the manifest when the run
-    starts and refresh its cost fields at exit (:func:`snapshot_manifest`).
-
-    Parameters
-    ----------
-    command:
-        What ran, e.g. ``"build"`` or ``"exhibit:fig4_error_vs_sample_size"``.
-    seed:
-        The run's root seed (``None`` when not applicable).
-    design_space:
-        The sampled design space; hashed via :func:`design_space_hash`.
-    overrides:
-        Parameter overrides / run knobs in effect.
-    metrics:
-        A :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` of the run's
-        metric totals.  Also feeds the derived ``cache_hit_rate`` field.
-    wall_time_s, cpu_time_s:
-        Measured run cost.  ``cpu_time_s`` defaults to the process's
-        cumulative CPU time (:func:`time.process_time`).
-    jobs:
-        Worker-process count in effect for the run (``None`` when not
-        applicable), so cross-run comparisons can normalise for fan-out.
-    extra:
-        Additional command-specific fields, merged at the top level.
+    ``command`` is what ran, e.g. ``"build"`` or
+    ``"exhibit:fig4_error_vs_sample_size"``.  The manifest carries the
+    run's identity (command, argv, start time, :func:`provenance`, pid)
+    and the process's CPU time so far; every field the run measures
+    (seed, design-space hash, overrides, jobs, wall time, metrics) starts
+    empty and is filled by :func:`snapshot_manifest`.  Build it when the
+    run starts so ``started`` reads the start.
     """
-    manifest: Dict[str, Any] = {
+    prov = provenance()
+    return {
         "schema": MANIFEST_SCHEMA_VERSION,
         "command": command,
         "argv": list(sys.argv),
         "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seed": seed,
-        "design_space_hash": design_space_hash(design_space),
-        "overrides": dict(overrides) if overrides else {},
-        "git_sha": git_sha(),
-        "version": package_version(),
-        "python": platform.python_version(),
-        "python_version": platform.python_version(),
-        "numpy_version": numpy_version(),
-        "platform": platform.platform(),
-        "hostname": platform.node(),
+        "seed": None,
+        "design_space_hash": None,
+        "overrides": {},
+        **prov,
+        "python": prov["python_version"],
         "pid": os.getpid(),
-        "wall_time_s": wall_time_s,
-        "cpu_time_s": cpu_time_s if cpu_time_s is not None else time.process_time(),
-        "jobs": jobs,
-        "cache_hit_rate": cache_hit_rate(metrics),
-        "metrics": dict(metrics) if metrics else {},
+        "wall_time_s": None,
+        "cpu_time_s": time.process_time(),
+        "jobs": None,
+        "cache_hit_rate": None,
+        "metrics": {},
     }
-    if extra:
-        manifest.update(extra)
-    return manifest
 
 
 def snapshot_manifest(
     base: Mapping[str, Any],
     metrics: Optional[Mapping[str, Any]] = None,
     wall_time_s: Optional[float] = None,
-    cpu_time_s: Optional[float] = None,
     extra: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Refresh a manifest's cost and metric fields mid-process.
+    """``base`` with what the run measured filled in, as a new manifest.
 
-    :func:`build_manifest` assumes a run that ends: wall/CPU time and
-    metric totals are measured once, at exit.  A serving process never
-    exits, so its manifest must be *snapshottable*: this returns a new
-    manifest with the same identity fields (command, argv, start time,
-    seed, git SHA, versions, …) as ``base`` but current cost and metric
-    totals.  The operation is idempotent and monotone — snapshotting a
-    snapshot yields the same schema and key set, and ``wall_time_s`` /
-    ``cpu_time_s`` never decrease (``cpu_time_s`` defaults to the
-    process's cumulative CPU time, which only grows; a ``None`` or
-    smaller ``wall_time_s`` keeps the previous reading).
-
-    ``base`` is never mutated; ledger records built from successive
-    snapshots of one session stay schema-identical.
+    Sets ``cpu_time_s`` to the process's cumulative CPU time, and
+    ``wall_time_s``, ``metrics`` (with the derived ``cache_hit_rate``)
+    and the fields in ``extra`` when given.  :func:`repro.cli.run_context`
+    calls it when a run ends, a ``repro serve`` session included.
+    Snapshotting a snapshot keeps the key set, and ``wall_time_s`` /
+    ``cpu_time_s`` never decrease: a ``None`` or smaller wall time keeps
+    the previous reading.  ``base`` is never mutated, so ledger records
+    built from successive snapshots stay schema-identical.
     """
     manifest: Dict[str, Any] = dict(base)
-    if cpu_time_s is None:
-        cpu_time_s = time.process_time()
+    cpu_time_s = time.process_time()
     previous_cpu = manifest.get("cpu_time_s")
     if previous_cpu is not None:
-        cpu_time_s = max(float(previous_cpu), float(cpu_time_s))
+        cpu_time_s = max(float(previous_cpu), cpu_time_s)
     manifest["cpu_time_s"] = cpu_time_s
     previous_wall = manifest.get("wall_time_s")
     if wall_time_s is not None:

@@ -22,8 +22,8 @@ import math
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.obs.manifest import (MANIFEST_SCHEMA_VERSION, git_sha,  # noqa: F401
-                                numpy_version, package_version)
+from repro.obs.manifest import provenance
+from repro.util.store import write_atomic
 
 #: Model-card schema version.
 CARD_SCHEMA_VERSION = 1
@@ -73,7 +73,6 @@ def build_card(
     uncertainty: Optional[Mapping[str, Any]] = None,
     cost: Optional[Mapping[str, Any]] = None,
     design_space_hash: Optional[str] = None,
-    git: Optional[str] = None,
     created: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Assemble one model card as a plain JSON-ready dict.
@@ -100,15 +99,16 @@ def build_card(
     cost:
         Training cost from the metrics registry: ``simulations_run``,
         ``cache_hits``, ``wall_time_s``, ``jobs``.
-    design_space_hash, git:
-        Provenance keys matching the manifest; ``git`` defaults to the
-        working tree's HEAD.
+    design_space_hash:
+        The sampled space's hash, matching the manifest.  The git SHA and
+        versions come from :func:`~repro.obs.manifest.provenance`.
     created:
         ISO-8601 creation timestamp.  Injectable so tests (and the
         registry's byte-determinism contract) can pin the clock;
         ``None`` leaves the field null rather than reading the real clock,
         keeping card content a pure function of its inputs.
     """
+    prov = provenance()
     return {
         "schema": CARD_SCHEMA_VERSION,
         "created": created,
@@ -117,10 +117,10 @@ def build_card(
         "sample_size": sample_size,
         "seed": seed,
         "design_space_hash": design_space_hash,
-        "git_sha": git if git is not None else git_sha(),
-        "version": package_version(),
-        "numpy_version": numpy_version(),
-        "python_version": _python_version(),
+        "git_sha": prov["git_sha"],
+        "version": prov["version"],
+        "numpy_version": prov["numpy_version"],
+        "python_version": prov["python_version"],
         "diagnostics": _finite(dict(diagnostics or {})),
         "selection": _finite(dict(selection or {})),
         "errors": {
@@ -150,13 +150,6 @@ def created_timestamp() -> str:
         except (ValueError, OverflowError, OSError):
             pass  # malformed pin: fall through to the real clock
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _python_version() -> str:
-    """The interpreter version string (mirrors the manifest field)."""
-    import platform
-
-    return platform.python_version()
 
 
 def selection_summary(search: Any) -> Dict[str, Any]:
@@ -195,10 +188,10 @@ def card_to_json(card: Mapping[str, Any]) -> str:
 
 
 def write_card(card: Mapping[str, Any], path: Union[str, Path]) -> Path:
-    """Write a card at ``path`` in canonical form; returns the path."""
+    """Atomically replace ``path`` with the card in canonical form."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(card_to_json(card), encoding="utf-8")
+    write_atomic(path, card_to_json(card))
     return path
 
 

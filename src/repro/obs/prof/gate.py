@@ -76,12 +76,12 @@ def results_document(
 
 def write_results(doc: Mapping[str, Any],
                   directory: Union[str, Path]) -> Path:
-    """Write a results document as ``<directory>/BENCH_<run>.json``."""
+    """Atomically write a results document as ``<directory>/BENCH_<run>.json``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{doc['run']}.json"
-    path.write_text(json.dumps(dict(doc), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    store.write_atomic(path, json.dumps(dict(doc), indent=2,
+                                        sort_keys=True) + "\n")
     return path
 
 

@@ -7,7 +7,9 @@ The JSONL schema (``version`` 1) is one JSON object per line:
 * ``{"type": "span", "id": n, "parent": m|null, "name": ..., "offset":
   seconds-from-trace-origin, "dur": seconds, "attrs": {...}}`` — one per
   recorded span, depth-first, ids in emission order so a parent always
-  precedes its children.
+  precedes its children.  :func:`~repro.obs.tracing.span_records` writes
+  these records and :func:`~repro.obs.tracing.spans_from_records` reads
+  them, here and in worker payloads alike.
 * ``{"type": "failure", "stage": ..., "error": ..., "message": ...}`` —
   structured stage-failure events (and any other recorded events).
 * ``{"type": "metrics", "counters": ..., "gauges": ..., "histograms":
@@ -43,7 +45,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.obs.tracing import Collector, SpanNode
+from repro.obs.tracing import (Collector, SpanNode, span_records,
+                               spans_from_records)
 
 #: JSONL schema version stamped into the trace header.
 TRACE_SCHEMA_VERSION = 1
@@ -157,23 +160,10 @@ class StreamingTraceSink:
         subtree is fully written, so no span is ever split across
         segments.
         """
-        stack = [(root, None)]
-        while stack:
-            node, parent_id = stack.pop()
-            span_id = self._counter
+        for record in span_records([root], origin, self._counter):
+            self._write_line(record)
             self._counter += 1
-            self._write_line({
-                "type": "span",
-                "id": span_id,
-                "parent": parent_id,
-                "name": node.name,
-                "offset": round(node.start - origin, 9),
-                "dur": round(node.duration, 9),
-                "attrs": node.attrs,
-            })
             self.spans_emitted += 1
-            for child in reversed(node.children):
-                stack.append((child, span_id))
         if self.max_bytes is not None and self._fh.tell() > self.max_bytes:
             self._rotate()
 
@@ -204,10 +194,10 @@ def write_trace(collector: Collector, path: Union[str, Path],
 
     The collector's closed roots, then its events, stream through a
     :class:`StreamingTraceSink` with rotation off.  Adopted worker spans
-    carry clock readings from their own process; their offsets are
-    relative to the *worker's* trace origin, so only durations are
-    comparable across processes (the summary renderer uses durations
-    exclusively).
+    keep the clock readings their process took, so their offsets line up
+    with the parent's only where both processes read one clock (on Linux
+    ``time.perf_counter`` is system-wide); durations are always
+    comparable, and the summary renderer uses durations only.
     """
     with StreamingTraceSink(path, header=header,
                             metrics_snapshot=collector.metrics.snapshot) as sink:
@@ -231,8 +221,7 @@ def read_trace(path: Union[str, Path], strict: bool = True) -> TraceData:
     header: Dict[str, Any] = {}
     metrics: Dict[str, Any] = {}
     events: List[Dict[str, Any]] = []
-    nodes: Dict[int, SpanNode] = {}
-    roots: List[SpanNode] = []
+    spans: List[Dict[str, Any]] = []
     skipped = 0
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.readlines()
@@ -255,25 +244,13 @@ def read_trace(path: Union[str, Path], strict: bool = True) -> TraceData:
         if kind == "trace":
             header = event
         elif kind == "span":
-            offset = float(event.get("offset", 0.0))
-            node = SpanNode(
-                str(event.get("name", "?")),
-                attrs=dict(event.get("attrs", {})),
-                start=offset,
-                end=offset + float(event.get("dur", 0.0)),
-            )
-            nodes[int(event["id"])] = node
-            parent = event.get("parent")
-            if parent is None or int(parent) not in nodes:
-                roots.append(node)
-            else:
-                nodes[int(parent)].children.append(node)
+            spans.append(event)
         elif kind == "metrics":
             metrics = event
         else:
             events.append(event)
-    return TraceData(header=header, roots=roots, events=events,
-                     metrics=metrics, skipped_lines=skipped)
+    return TraceData(header=header, roots=spans_from_records(spans),
+                     events=events, metrics=metrics, skipped_lines=skipped)
 
 
 # -- summary rendering -----------------------------------------------------

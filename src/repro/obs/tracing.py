@@ -10,11 +10,12 @@ code pays essentially nothing — tracing off is the default and must never
 perturb results (spans only read the clock; they never touch RNG state or
 numerics).
 
-Worker processes get their own collectors (see
-:meth:`Collector.payload` / :meth:`Collector.adopt`): a worker serialises
-its span tree and metrics into a plain-JSON payload, ships it back through
-the ``ProcessPoolExecutor`` result tuple, and the parent grafts it into
-the live trace under the current span.
+Spans have one serialised form, the flat record of a trace file
+(:func:`span_records` writes it, :func:`spans_from_records` reads it).
+Worker processes get their own collectors (see :meth:`Collector.payload`
+/ :meth:`Collector.adopt`): a worker ships its span records and metrics
+back through the ``ProcessPoolExecutor`` result tuple, and the parent
+grafts them into the live trace under the current span.
 
 The clock is injectable (``Collector(clock=...)``) so tests can assert
 exact, deterministic durations.
@@ -26,7 +27,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from functools import wraps
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -64,29 +65,6 @@ class SpanNode:
         self.attrs.update(attrs)
         return self
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Recursive plain-JSON form (used by worker payloads and sinks)."""
-        return {
-            "name": self.name,
-            "start": self.start,
-            "dur": self.duration,
-            "attrs": dict(self.attrs),
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SpanNode":
-        """Rebuild a span tree from :meth:`to_dict` output."""
-        start = float(data.get("start", 0.0))
-        node = cls(
-            str(data.get("name", "?")),
-            attrs=dict(data.get("attrs", {})),
-            start=start,
-            end=start + float(data.get("dur", 0.0)),
-        )
-        node.children = [cls.from_dict(c) for c in data.get("children", [])]
-        return node
-
     def walk(self) -> Iterator["SpanNode"]:
         """Depth-first iteration over this span and its descendants."""
         yield self
@@ -98,6 +76,57 @@ class SpanNode:
             f"SpanNode({self.name!r}, dur={self.duration:.6g}, "
             f"children={len(self.children)})"
         )
+
+
+def span_records(roots: Iterable[SpanNode], origin: float,
+                 first_id: int) -> Iterator[Dict[str, Any]]:
+    """The flat records of the trees under ``roots``, parents first.
+
+    ``{"type": "span", "id", "parent", "name", "offset", "dur",
+    "attrs"}``: ids count up from ``first_id`` depth-first, ``offset`` is
+    the start relative to ``origin``, and times are rounded to 1 ns.
+    Trace files and worker payloads both hold these records.
+    """
+    next_id = first_id
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            node, parent_id = stack.pop()
+            yield {
+                "type": "span",
+                "id": next_id,
+                "parent": parent_id,
+                "name": node.name,
+                "offset": round(node.start - origin, 9),
+                "dur": round(node.duration, 9),
+                "attrs": node.attrs,
+            }
+            stack.extend((child, next_id) for child in reversed(node.children))
+            next_id += 1
+
+
+def spans_from_records(records: Iterable[Mapping[str, Any]]) -> List[SpanNode]:
+    """Rebuild span trees from :func:`span_records` output; returns the roots.
+
+    A record whose parent id is absent or not seen yet becomes a root.
+    """
+    nodes: Dict[int, SpanNode] = {}
+    roots: List[SpanNode] = []
+    for record in records:
+        offset = float(record.get("offset", 0.0))
+        node = SpanNode(
+            str(record.get("name", "?")),
+            attrs=dict(record.get("attrs", {})),
+            start=offset,
+            end=offset + float(record.get("dur", 0.0)),
+        )
+        parent = record.get("parent")
+        if parent is None or int(parent) not in nodes:
+            roots.append(node)
+        else:
+            nodes[int(parent)].children.append(node)
+        nodes[int(record["id"])] = node
+    return roots
 
 
 class _NoopSpan:
@@ -179,9 +208,13 @@ class Collector:
     # -- cross-process funneling ------------------------------------------
 
     def payload(self) -> Dict[str, Any]:
-        """Plain-JSON trace content for shipping to a parent process."""
+        """Plain-JSON trace content for shipping to a parent process.
+
+        ``spans`` holds the :func:`span_records` of the roots with
+        origin 0.0, so adopted spans keep their clock readings.
+        """
         return {
-            "spans": [root.to_dict() for root in self.roots],
+            "spans": list(span_records(self.roots, origin=0.0, first_id=0)),
             "metrics": self.metrics.snapshot(),
             "events": list(self.events),
         }
@@ -196,8 +229,7 @@ class Collector:
         """
         if not payload:
             return
-        for span_dict in payload.get("spans", []):
-            node = SpanNode.from_dict(span_dict)
+        for node in spans_from_records(payload.get("spans", [])):
             if attrs:
                 node.attrs.update(attrs)
             parent = self.current_span()

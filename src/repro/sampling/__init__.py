@@ -8,8 +8,6 @@ from repro.sampling.optimizer import (
     best_lhs_sample,
     discrepancy_curve,
     find_knee,
-    min_pairwise_distance,
-    negative_maximin,
 )
 from repro.sampling.random_design import random_design
 from repro.sampling.plackett_burman import plackett_burman, foldover
@@ -24,8 +22,6 @@ __all__ = [
     "best_lhs_sample",
     "discrepancy_curve",
     "find_knee",
-    "min_pairwise_distance",
-    "negative_maximin",
     "random_design",
     "plackett_burman",
     "foldover",

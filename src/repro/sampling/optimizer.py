@@ -9,7 +9,7 @@ knee guides the choice of simulation budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -17,31 +17,6 @@ from repro.core.design_space import DesignSpace
 from repro.sampling.discrepancy import centered_l2_discrepancies
 from repro.sampling.lhs import latin_hypercube
 from repro.util.rng import make_rng
-
-DiscrepancyFn = Callable[[np.ndarray], float]
-
-
-def min_pairwise_distance(points: np.ndarray) -> float:
-    """Smallest pairwise Euclidean distance within a unit-cube sample.
-
-    The *maximin* design criterion (Johnson et al. 1990) prefers samples
-    whose closest pair is as far apart as possible; it is an alternative
-    space-filling measure to the discrepancy.  Returns 0.0 for samples
-    with duplicate points.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    diff = points[:, None, :] - points[None, :, :]
-    dist2 = (diff ** 2).sum(axis=2)
-    dist2[np.diag_indices_from(dist2)] = np.inf
-    return float(np.sqrt(dist2.min()))
-
-
-def negative_maximin(points: np.ndarray) -> float:
-    """Maximin criterion as a minimisation metric for :func:`best_lhs_sample`."""
-    return -min_pairwise_distance(points)
-
 
 @dataclass(frozen=True)
 class OptimizedSample:
@@ -58,10 +33,11 @@ def best_lhs_sample(
     count: int,
     seed: int,
     candidates: int = 64,
-    metric: Optional[DiscrepancyFn] = None,
-    jitter: bool = True,
 ) -> OptimizedSample:
     """Generate ``candidates`` LHS samples and keep the lowest-discrepancy one.
+
+    All candidates are drawn first and scored by the centered L2
+    discrepancy in one batched pass; the first of the lowest wins.
 
     Parameters
     ----------
@@ -74,30 +50,16 @@ def best_lhs_sample(
     candidates:
         Number of LHS candidates to generate ("a large number" in the
         paper; 64 by default, more gives marginally better discrepancy).
-    metric:
-        Discrepancy function, called once per candidate.  By default all
-        candidates are drawn first and scored by the centered L2
-        discrepancy in one batched pass.
     """
     if candidates < 1:
         raise ValueError("candidates must be >= 1")
-    samples = [latin_hypercube(space, count, make_rng(seed, "lhs-candidate", count, i),
-                               jitter=jitter)
+    samples = [latin_hypercube(space, count, make_rng(seed, "lhs-candidate", count, i))
                for i in range(candidates)]
-    if metric is None:
-        values = centered_l2_discrepancies(np.stack(samples)).tolist()
-    else:
-        values = [metric(pts) for pts in samples]
-    best_points: Optional[np.ndarray] = None
-    best_value = np.inf
-    for pts, value in zip(samples, values):
-        if value < best_value:
-            best_value = value
-            best_points = pts
-    assert best_points is not None
+    values = centered_l2_discrepancies(np.stack(samples))
+    best = int(np.argmin(values))
     return OptimizedSample(
-        points=best_points,
-        discrepancy=float(best_value),
+        points=samples[best],
+        discrepancy=float(values[best]),
         candidates=candidates,
         sample_size=count,
     )
@@ -108,12 +70,11 @@ def discrepancy_curve(
     sizes: Sequence[int],
     seed: int,
     candidates: int = 64,
-    metric: Optional[DiscrepancyFn] = None,
 ) -> List[Tuple[int, float]]:
     """Best obtained discrepancy for each sample size (the Figure 2 curve)."""
     curve = []
     for size in sizes:
-        sample = best_lhs_sample(space, size, seed, candidates=candidates, metric=metric)
+        sample = best_lhs_sample(space, size, seed, candidates=candidates)
         curve.append((size, sample.discrepancy))
     return curve
 

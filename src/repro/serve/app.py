@@ -21,7 +21,6 @@ changes the numbers, only the latency.
 from __future__ import annotations
 
 import json
-import platform
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -98,7 +97,6 @@ class ServingApp:
         self.metrics = obs.MetricsRegistry()
         self.window = MetricsWindow(self.metrics)
         self.services: List[ModelService] = []
-        self.git_sha = obs.git_sha()
         self._request_seq = 0
         self.started = obs.monotonic()
 
@@ -323,11 +321,12 @@ class ServingApp:
                 "family": service.entry.family,
                 "version": service.entry.version,
             }
+        prov = obs.provenance()
         return 200, {
-            "version": obs.package_version(),
-            "git_sha": self.git_sha,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
+            "version": prov["version"],
+            "git_sha": prov["git_sha"],
+            "python": prov["python_version"],
+            "numpy": prov["numpy_version"],
             "models": models,
         }
 

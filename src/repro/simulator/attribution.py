@@ -208,29 +208,17 @@ def fold_stack(
 ) -> CPIStack:
     """Fold tagged commit gaps into a :class:`CPIStack`.
 
-    The measured region is ``[warmup, n)``; the gap of instruction ``i``
-    is ``commit[i] - commit[i-1]`` (telescoping to the region's cycle
+    The :func:`build_intervals` fold with one window over the whole
+    measured region ``[warmup, n)``: the gap of instruction ``i`` is
+    ``commit[i] - commit[i-1]`` (telescoping to the region's cycle
     count), and the trailing ``+1.0`` drain cycle lands in ``base``.
     """
-    n = len(commit)
-    if len(tags) != n:
-        raise ValueError("tags and commit must have equal length")
-    if not 0 <= warmup < n:
-        raise ValueError("warmup must leave at least one measured instruction")
-    totals = [0.0] * len(COMPONENTS)
-    prev = warm_commit
-    for i in range(warmup, n):
-        c = commit[i]
-        gap = c - prev
-        if gap:
-            totals[tags[i]] += gap
-        prev = c
-    totals[TAG_BASE] += 1.0  # pipeline drain of the last instruction
-    cycles = commit[-1] + 1.0 - warm_commit
+    (window,) = build_intervals(tags, commit, warmup, warm_commit,
+                                len(commit) - warmup)
     return CPIStack(
-        components=dict(zip(COMPONENTS, totals)),
-        cycles=cycles,
-        instructions=n - warmup,
+        components=window.components,
+        cycles=window.cycles,
+        instructions=window.instructions,
     )
 
 
@@ -245,8 +233,8 @@ def build_intervals(
 
     Window cycles sum exactly to the run's measured cycles: each window
     spans the commit times of its instructions, and the final window
-    carries the ``+1.0`` drain cycle (in ``base``), mirroring
-    :func:`fold_stack`.
+    carries the ``+1.0`` drain cycle (in ``base``).  :func:`fold_stack`
+    is the case of one window.
     """
     n = len(commit)
     if len(tags) != n:

@@ -109,12 +109,16 @@ class TestLedger:
             make_run("bench", git_sha="def456",
                      started="2026-08-03T00:00:00+00:00"),
         ], path)
-        assert len(list(history.iter_runs(path))) == 3
-        assert len(list(history.iter_runs(path, command="build"))) == 2
-        assert len(list(history.iter_runs(path, benchmark="mcf"))) == 1
-        assert len(list(history.iter_runs(path, git_sha="abc"))) == 2
-        assert len(list(history.iter_runs(
-            path, since="2026-08-02T00:00:00+00:00"))) == 2
+        runs, _ = history.load_runs(path)
+
+        def count(**filters):
+            return sum(history.run_matches(r, **filters) for r in runs)
+
+        assert count() == 3
+        assert count(command="build") == 2
+        assert count(benchmark="mcf") == 1
+        assert count(git_sha="abc") == 2
+        assert count(since="2026-08-02T00:00:00+00:00") == 2
 
 
 def _append_worker(path, barrier, worker, count):
@@ -146,13 +150,14 @@ class TestLedgerConcurrency:
 
 class TestRecordFromManifest:
     def test_lifts_manifest_overrides_counters_and_extras(self):
-        manifest = obs.build_manifest(
-            "build", seed=7,
-            overrides={"sample_size": 90, "test_points": 50},
+        manifest = obs.snapshot_manifest(
+            obs.build_manifest("build"),
             metrics={"counters": {"simulations_run": 10.0,
                                   "cache_hits": 30.0}},
-            wall_time_s=1.5, jobs=2,
-            extra={"benchmark": "mcf", "mean_error_pct": 2.5},
+            wall_time_s=1.5,
+            extra={"seed": 7, "jobs": 2,
+                   "overrides": {"sample_size": 90, "test_points": 50},
+                   "benchmark": "mcf", "mean_error_pct": 2.5},
         )
         record = history.record_from_manifest(
             manifest, trace_path="results/trace-build.jsonl",
@@ -180,10 +185,11 @@ class TestRecordFromManifest:
 
 class TestManifestCostFields:
     def test_jobs_and_cache_hit_rate_recorded(self):
-        manifest = obs.build_manifest(
-            "build", jobs=4,
+        manifest = obs.snapshot_manifest(
+            obs.build_manifest("build"),
             metrics={"counters": {"simulations_run": 25.0,
                                   "cache_hits": 75.0}},
+            extra={"jobs": 4},
         )
         assert manifest["schema"] == 1
         assert manifest["jobs"] == 4

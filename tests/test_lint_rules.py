@@ -560,6 +560,41 @@ class TestOBS006:
         assert result.ok and len(result.suppressed) == 1
 
 
+class TestOBS007:
+    def test_flags_every_provenance_read(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import platform
+            import numpy as np
+            from importlib.metadata import version
+            from numpy import __version__
+            platform.python_version()
+            platform.platform()
+            platform.node()
+            tag = np.__version__
+            """, filename="repro/serve/about.py", select={"OBS007"})
+        assert [f.line for f in result.findings] == [3, 4, 5, 6, 7, 8]
+
+    def test_the_manifest_reads_every_field_it_owns(self, tmp_path):
+        # Liveness: the rule still recognises what the real manifest does.
+        result = lint_source(
+            tmp_path, (SRC / "obs" / "manifest.py").read_text("utf-8"),
+            filename="repro/core/manifest_copy.py", select={"OBS007"})
+        assert flagged(result) == {
+            "platform.python_version()", "platform.platform()",
+            "platform.node()", "importing version from importlib.metadata",
+            "numpy.__version__",
+        }
+
+    def test_exempts_the_manifest_and_non_library_code(self, tmp_path):
+        source = "import platform\nplatform.node()\n"
+        result = lint_source(
+            tmp_path, source, filename="repro/obs/manifest.py",
+            select={"OBS007"},
+            extra_files=[("perfbench/host.py", source)],
+        )
+        assert result.ok
+
+
 class TestSeamScope:
     # Library code is the ``repro`` package, found by walking the
     # ``__init__.py`` chain; directory names elsewhere in the path
@@ -740,7 +775,7 @@ class TestFramework:
     def test_every_rule_has_id_title_and_docs(self):
         expected = {"RNG001", "NUM001", "NUM002", "DS001", "REG001",
                     "API001", "API002", "OBS001", "OBS002", "OBS003",
-                    "OBS004", "OBS005", "OBS006"}
+                    "OBS004", "OBS005", "OBS006", "OBS007"}
         assert expected <= set(RULES)
         for rule_id, cls in RULES.items():
             assert cls.title, rule_id

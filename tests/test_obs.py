@@ -11,6 +11,7 @@ bitwise-identical).
 import hashlib
 import json
 import multiprocessing
+import subprocess
 import sys
 from datetime import datetime, timedelta
 
@@ -25,6 +26,7 @@ from repro.experiments.common import stage
 from repro.experiments.runner import SimulationRunner
 from repro.obs import history
 from repro.obs import manifest as manifest_module
+from repro.obs.sinks import StreamingTraceSink
 
 TRACE_LENGTH = 2000
 
@@ -254,6 +256,27 @@ class TestSinks:
         assert trace.metrics["histograms"]["lat"]["count"] == 1
         (failure,) = [e for e in trace.events if e["type"] == "failure"]
         assert failure["stage"] == "fit" and failure["centers"] == 4
+
+    def test_payload_holds_the_records_the_sink_writes(self, tmp_path):
+        # Spans have one serialised form: a worker payload carries the
+        # records a trace file holds (at origin 0.0), and adopting them
+        # rebuilds trees that serialise to the same records.
+        with obs.collecting(clock=FakeClock(0.25)) as worker:
+            for name in ("simulate", "validate"):
+                with obs.span(name, rob_size=64):
+                    with obs.span(name + "/core"):
+                        pass
+        path = tmp_path / "trace.jsonl"
+        with StreamingTraceSink(path) as sink:
+            for root in worker.roots:
+                sink.emit(root)
+        written = [json.loads(line) for line in path.read_text().splitlines()]
+        spans = worker.payload()["spans"]
+        assert spans == [r for r in written if r["type"] == "span"]
+        assert [r["id"] for r in spans] == [0, 1, 2, 3]
+        parent = obs.Collector(clock=FakeClock())
+        parent.adopt(json.loads(json.dumps(worker.payload())))
+        assert parent.payload()["spans"] == spans
 
     def test_every_line_is_json(self, tmp_path):
         collector = self._sample_collector()
@@ -501,6 +524,32 @@ class TestManifest:
         manifest = obs.read_manifest(tmp_path / "results" / "manifest.json")
         assert manifest["started"] == before
         assert history.load_runs()[0][-1]["started"] == before
+
+    def test_two_builds_run_git_once(self, tmp_path, monkeypatch):
+        # Provenance is read once per process: the manifests and model
+        # cards of two builds share one ``git rev-parse``.
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(args, *rest, **kwargs):
+            if list(args[:2]) == ["git", "rev-parse"]:
+                calls.append(args)
+            return real_run(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        manifest_module._read_provenance.cache_clear()
+        argv = ["build", "--benchmark", "mcf", "--sample-size", "12",
+                "--test-points", "4", "--trace-length", "1024"]
+        assert cli_main(argv) == 0
+        assert cli_main(argv) == 0
+        assert len(calls) == 1
+        (card,) = {path.read_text() for path in
+                   (tmp_path / "results" / "models" / "cards").iterdir()}
+        manifest = obs.read_manifest(tmp_path / "results" / "manifest.json")
+        assert json.loads(card)["git_sha"] == manifest["git_sha"]
 
     def test_version_flag_matches_package_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -244,20 +244,23 @@ class TestAccessLog:
 
 class TestSnapshotManifest:
     def test_successive_snapshots_are_monotone_and_schema_identical(self):
-        base = obs.build_manifest(
-            "serve", seed=3, metrics={"requests_total": 0.0},
-            wall_time_s=1.0, cpu_time_s=0.25, extra={"requests_served": 0})
+        base = snapshot_manifest(
+            obs.build_manifest("serve"), metrics={"requests_total": 0.0},
+            wall_time_s=1.0, extra={"seed": 3, "requests_served": 0})
+        # A CPU reading ahead of the process clock stands in for a later
+        # one, so the snapshots below read a *smaller* CPU time.
+        base["cpu_time_s"] = 1e9
         first = snapshot_manifest(
             base, metrics={"requests_total": 4.0}, wall_time_s=2.5,
-            cpu_time_s=1.0, extra={"requests_served": 4})
+            extra={"requests_served": 4})
         # A later snapshot reporting a *smaller* wall/cpu reading (clock
         # skew, duplicated flush) must never move the manifest backwards.
         second = snapshot_manifest(
             first, metrics={"requests_total": 9.0}, wall_time_s=2.0,
-            cpu_time_s=0.5, extra={"requests_served": 9})
+            extra={"requests_served": 9})
         assert set(first) == set(second) == set(base)
         assert second["wall_time_s"] == 2.5
-        assert second["cpu_time_s"] == 1.0
+        assert second["cpu_time_s"] == 1e9
         assert second["requests_served"] == 9
         assert second["metrics"]["requests_total"] == 9.0
         # Identity fields survive untouched; the base is never mutated.
@@ -267,7 +270,8 @@ class TestSnapshotManifest:
         assert base["wall_time_s"] == 1.0
 
     def test_snapshot_defaults_keep_previous_cost_readings(self):
-        base = obs.build_manifest("serve", wall_time_s=3.0, cpu_time_s=2.0)
+        base = snapshot_manifest(obs.build_manifest("serve"), wall_time_s=3.0)
         snap = snapshot_manifest(base)  # no new wall reading supplied
         assert snap["wall_time_s"] == 3.0
-        assert snap["cpu_time_s"] >= 2.0  # process CPU time only grows
+        # Process CPU time only grows.
+        assert snap["cpu_time_s"] >= base["cpu_time_s"]

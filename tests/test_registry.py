@@ -8,7 +8,9 @@ probe-grid drift gate, and the ``repro models`` CLI including the build
 auto-registration path.
 """
 
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,39 @@ class TestContentAddressing:
         assert registry.find("mcf") == entry
         assert registry.find("nope") is None
 
+    @pytest.mark.parametrize("torn", ["artifacts", "cards"])
+    def test_torn_reregistration_keeps_the_listed_files(
+            self, fitted, tmp_path, monkeypatch, torn):
+        # Registering the same fit again rewrites the files the index
+        # already lists (their names are the content hash).  A rewrite
+        # that stops half-way, here on a full disk, must leave them
+        # byte-identical and loadable.
+        net, x, y = fitted
+        registry = make_registry(tmp_path)
+        card = modelcard.build_card(family="rbf", benchmark="mcf",
+                                    sample_size=60, seed=42,
+                                    created=PINNED_NOW)
+        entry = register(registry, net, card=card)
+        before = (registry.artifact_path(entry.sha).read_bytes(),
+                  registry.card_path(entry.sha).read_bytes())
+        write_text = Path.write_text
+
+        def disk_full(path, text, *args, **kwargs):
+            if path.parent.name != torn:
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", disk_full)
+            with pytest.raises(OSError):
+                register(registry, net, card=card)
+        assert (registry.artifact_path(entry.sha).read_bytes(),
+                registry.card_path(entry.sha).read_bytes()) == before
+        loaded, _, _ = registry.load(entry)
+        np.testing.assert_array_equal(loaded.predict(x), net.predict(x))
+        assert registry.card(entry) == json.loads(before[1])
+
     def test_tampered_artifact_fails_hash_verification(self, fitted,
                                                        tmp_path):
         net, x, y = fitted
@@ -108,7 +143,7 @@ class TestByteDeterminism:
             family="rbf", benchmark="mcf", sample_size=60, seed=42,
             diagnostics=net.diagnostics(),
             uncertainty=net.uncertainty.as_dict(),
-            git="f" * 8, created=PINNED_NOW)
+            created=PINNED_NOW)
         blobs = []
         for name in ("first", "second"):
             registry = make_registry(tmp_path, name)
@@ -125,7 +160,7 @@ class TestByteDeterminism:
         card = modelcard.build_card(
             family="rbf", benchmark="mcf", sample_size=60, seed=42,
             selection={"trajectory": [{"criterion_value": float("inf")}]},
-            git="f" * 8, created=PINNED_NOW)
+            created=PINNED_NOW)
         text = modelcard.card_to_json(card)
         parsed = json.loads(text)  # allow_nan=False already enforced strict
         assert list(parsed) == sorted(parsed)

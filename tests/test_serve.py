@@ -240,10 +240,9 @@ class TestMetricsAndLedger:
 
     def test_session_ledger_record_is_pinned(self, tmp_path, monkeypatch):
         app = self.pinned_app(tmp_path, monkeypatch)
-        base = obs.build_manifest("serve", extra={"registry": "r"})
         manifest = obs.snapshot_manifest(
-            base, metrics=app.metrics.snapshot(), wall_time_s=12.5,
-            extra=app.session_fields())
+            obs.build_manifest("serve"), metrics=app.metrics.snapshot(),
+            wall_time_s=12.5, extra={"registry": "r", **app.session_fields()})
         record = record_from_manifest(manifest, trace_path="trace.jsonl")
         assert record["command"] == "serve"
         assert record["requests_served"] == 10
