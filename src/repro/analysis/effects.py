@@ -29,10 +29,6 @@ class MainEffect:
     response: List[float]  # mean model response at each setting
     magnitude: float  # max - min of the averaged response
 
-    def physical_levels(self, space: DesignSpace) -> List[float]:
-        param = space[self.parameter]
-        return [float(param.from_unit(u)) for u in self.levels]
-
 
 def main_effects(
     model: Model,

@@ -899,11 +899,11 @@ def _report_html(args: argparse.Namespace) -> int:
     """``repro report --html``: render the ledger as one HTML file."""
     from repro.experiments.report import results_dir
     from repro.obs import history
+    from repro.util.store import write_atomic
 
     runs = _load_runs_or_exit()
     html = history.render_html(runs, trace=_latest_trace(runs))
-    dest = Path(args.html) if args.html else results_dir() / "report.html"
-    path = history.write_html(dest, html)
+    path = write_atomic(args.html or results_dir() / "report.html", html)
     print(f"[report written to {path}]")
     return 0
 
@@ -1333,7 +1333,24 @@ def _trace_destination(args: argparse.Namespace) -> Optional[Path]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes stdout early (``repro trace summary t.jsonl |
+    head -1``) ends the run with exit code 1 and no traceback.
+    """
+    try:
+        code = _run(argv)
+        # A closed pipe fails this flush here rather than at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: give that flush a sink.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: Optional[List[str]]) -> int:
+    """Parse ``argv`` and run its command, traced when asked."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["lint"]:
         # Forward verbatim: argparse's REMAINDER mis-parses a leading

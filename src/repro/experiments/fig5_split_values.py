@@ -34,9 +34,6 @@ class Fig5Result:
     significant: Dict[str, List[float]]  # earliest SIGNIFICANT_SPLITS only
     total_splits: int
 
-    def split_counts(self) -> Dict[str, int]:
-        return {name: len(vals) for name, vals in self.distribution.items()}
-
     def significant_counts(self) -> Dict[str, int]:
         return {name: len(vals) for name, vals in self.significant.items()}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro import obs
-from repro.util.store import results_dir
+from repro.util.store import results_dir, write_atomic
 
 __all__ = ["emit", "results_dir"]
 
@@ -47,9 +47,7 @@ def emit(name: str, text: str) -> Path:
     obs.echo()
     obs.echo(text)
     out = results_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.txt"
-    path.write_text(text + "\n")
+    path = write_atomic(out / f"{name}.txt", text + "\n")
     history.record_run(_exhibit_manifest(name), out / f"{name}.manifest.json",
                        extra={"artifact": str(path)})
     return path

@@ -12,6 +12,7 @@ from typing import List, Optional, Tuple
 
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import results_dir
+from repro.util.store import write_atomic
 
 _RULE = "=" * 72
 
@@ -25,11 +26,12 @@ def collect(directory: Optional[Path] = None) -> Tuple[List[str], List[str]]:
         path = directory / (Path(exp.bench).stem.replace("test_", "") + ".txt")
         if path.exists():
             sections.append(f"{_RULE}\n{exp.exhibit}: {exp.title}\n{_RULE}\n"
-                            + path.read_text().rstrip())
+                            + path.read_text(encoding="utf-8").rstrip())
         else:
             missing.append(exp.exhibit)
     for extra in sorted(directory.glob("ablation_*.txt")) if directory.exists() else []:
-        sections.append(f"{_RULE}\n{extra.stem}\n{_RULE}\n" + extra.read_text().rstrip())
+        sections.append(f"{_RULE}\n{extra.stem}\n{_RULE}\n"
+                        + extra.read_text(encoding="utf-8").rstrip())
     return sections, missing
 
 
@@ -48,7 +50,4 @@ def write_summary(directory: Optional[Path] = None) -> Path:
             + ", ".join(missing)
         )
     text = "\n".join(header) + "\n\n" + "\n\n".join(sections) + "\n"
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "SUMMARY.txt"
-    path.write_text(text)
-    return path
+    return write_atomic(directory / "SUMMARY.txt", text)

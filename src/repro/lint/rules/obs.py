@@ -1,14 +1,16 @@
-"""Observability rules: the seam table (OBS001–OBS003, OBS005–OBS007)
+"""Observability rules: the seam table (OBS001–OBS003, OBS005–OBS008)
 and OBS004 (no blocking calls reachable from async serving handlers).
 
 A *seam* is the one place a side effect may happen: the console
 (:func:`repro.obs.echo`), the clock (:func:`repro.obs.monotonic`),
 artifact files (:mod:`repro.models.io`, :mod:`repro.models.registry`),
 shared-file persistence (:mod:`repro.util.store`), run records
-(:mod:`repro.obs.history.ledger`) and run provenance
-(:func:`repro.obs.manifest.provenance`).  A library module that goes around
-one writes output traces cannot capture, durations tests cannot fake,
-artifacts with no provenance, or records the history gate never sees.
+(:mod:`repro.obs.history.ledger`), run provenance
+(:func:`repro.obs.manifest.provenance`) and whole-file writes
+(:func:`repro.util.store.write_atomic`).  A library module that goes
+around one writes output traces cannot capture, durations tests cannot
+fake, artifacts with no provenance, records the history gate never sees,
+or files a failed write leaves cut off.
 Each row of :data:`SEAMS` is the check "primitive P only in modules M";
 :class:`SeamRule` checks every row, and a new seam is one more row.
 
@@ -68,7 +70,8 @@ class Seam:
     refs: FrozenSet[str] = frozenset()
     #: String constants, flagged wherever they appear.
     constants: FrozenSet[str] = frozenset()
-    #: Call names, flagged on any receiver (and called bare).
+    #: Call names, flagged on any receiver (and called bare); ``open``
+    #: only in a mode that may write (see :func:`_opens_for_writing`).
     call_names: FrozenSet[str] = frozenset()
 
 
@@ -169,7 +172,45 @@ SEAMS = (
         }),
         refs=frozenset({"numpy.__version__"}),
     ),
+    Seam(
+        id="OBS008",
+        title="whole file written outside repro.util.store",
+        rationale=(
+            "A file written in place is cut off while the write runs and "
+            "stays cut off when the writer fails or is killed; "
+            "repro.util.store.write_atomic writes a temp file and renames "
+            "it over the target, so a reader sees the old file or the new "
+            "one. Only the store and the two append streams, the trace "
+            "sink (repro.obs.sinks) and the serving access log "
+            "(repro.obs.live.access), open files for writing."
+        ),
+        hint="replace whole files through repro.util.store.write_atomic",
+        allowed=("repro.util.store", "repro.obs.sinks",
+                 "repro.obs.live.access"),
+        call_names=frozenset({"write_text", "write_bytes", "open"}),
+    ),
 )
+
+
+def _opens_for_writing(node: ast.Call) -> bool:
+    """Whether an ``open()`` / ``.open()`` call may write a file.
+
+    The mode is ``open``'s second argument or a method ``open``'s first
+    (``Path.open``), positional or ``mode=``: absent means read, a string
+    constant writes when it holds ``w``, ``a``, ``x`` or ``+``, and any
+    other expression may write.  Opening ``os.devnull`` leaves no file.
+    """
+    if node.args and attribute_chain(node.args[0]) == ("os", "devnull"):
+        return False
+    position = 1 if isinstance(node.func, ast.Name) else 0
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+    mode = modes[0] if modes else (
+        node.args[position] if len(node.args) > position else None)
+    if mode is None:
+        return False
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return bool(set(mode.value) & set("wax+"))
+    return True
 
 
 class SeamRule(VisitorRule):
@@ -200,7 +241,8 @@ class SeamRule(VisitorRule):
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if dotted in self.seam.calls:
             self._flag(node, f"{dotted}()")
-        elif name in self.seam.call_names:
+        elif name in self.seam.call_names and (
+                name != "open" or _opens_for_writing(node)):
             self._flag(node, f"{name}()")
         self.generic_visit(node)
 

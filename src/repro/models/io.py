@@ -171,9 +171,7 @@ def save_model(
     uncertainty calibration, if any, is persisted too.
     """
     payload = encode_model(model, parameter_names, metadata)
-    path = Path(path)
-    write_atomic(path, json.dumps(payload, indent=1))
-    return path
+    return write_atomic(path, json.dumps(payload, indent=1))
 
 
 def load_model(path: Union[str, Path]):

@@ -272,14 +272,11 @@ class ModelRegistry:
         """
         sha = content_hash(model)
         family = model_family(model)
-        artifact_rel = f"artifacts/{sha}.json"
-        card_rel = f"cards/{sha}.json" if card is not None else None
-
-        self.root.mkdir(parents=True, exist_ok=True)
-        save_model(model, self._ensure_parent(self.root / artifact_rel),
-                   parameter_names=parameter_names, metadata=metadata)
-        if card is not None:
-            write_card(card, self.root / card_rel)
+        artifact = save_model(model, self.artifact_path(sha),
+                              parameter_names=parameter_names,
+                              metadata=metadata)
+        card_file = (write_card(card, self.card_path(sha))
+                     if card is not None else None)
 
         def build(records: List[Dict[str, Any]]) -> Dict[str, Any]:
             version = max([1] + [
@@ -297,18 +294,14 @@ class ModelRegistry:
                 design_space_hash=design_space_hash,
                 git_sha=git_sha,
                 created=now,
-                artifact=artifact_rel,
-                card=card_rel,
+                artifact=artifact.relative_to(self.root).as_posix(),
+                card=(card_file.relative_to(self.root).as_posix()
+                      if card_file is not None else None),
                 mean_error_pct=mean_error_pct,
             ).as_record()
 
         return RegistryEntry.from_record(
             store.append_jsonl(self.index_path, build))
-
-    @staticmethod
-    def _ensure_parent(path: Path) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
 
 
 # -- probe grids and drift ----------------------------------------------------
@@ -409,11 +402,8 @@ def baseline_document(
 def write_baseline(document: Mapping[str, Any],
                    path: Union[str, Path]) -> Path:
     """Atomically replace ``path`` with a probe baseline as sorted-key JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    store.write_atomic(path, json.dumps(dict(document), indent=1,
-                                        sort_keys=True, allow_nan=False) + "\n")
-    return path
+    return store.write_atomic(path, json.dumps(
+        dict(document), indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_baseline(path: Union[str, Path]) -> Dict[str, Any]:

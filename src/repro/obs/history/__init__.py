@@ -24,7 +24,7 @@ from repro.obs.history.ledger import (
     record_run,
     run_matches,
 )
-from repro.obs.history.report import render_html, write_html
+from repro.obs.history.report import render_html
 from repro.obs.history.trend import (
     CHECK_FIELDS,
     TREND_SCHEMA_VERSION,
@@ -67,5 +67,4 @@ __all__ = [
     "series",
     "sparkline",
     "trend_document",
-    "write_html",
 ]

@@ -26,8 +26,7 @@ custom properties; all text wears ink tokens, marks carry the hue.
 from __future__ import annotations
 
 import html as _html
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.history import trend as _trend
 from repro.obs.sinks import TraceData, aggregate_stacks
@@ -623,11 +622,3 @@ def render_html(
         f"{_run_table(runs)}"
         "</body></html>\n"
     )
-
-
-def write_html(path: Union[str, Path], html_text: str) -> Path:
-    """Write the rendered report at ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(html_text, encoding="utf-8")
-    return path

@@ -212,10 +212,8 @@ def snapshot_manifest(
 
 def write_manifest(path: Union[str, Path], manifest: Mapping[str, Any]) -> Path:
     """Atomically replace ``path`` with ``manifest`` as pretty-printed JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    store.write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return store.write_atomic(
+        path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:

@@ -189,10 +189,7 @@ def card_to_json(card: Mapping[str, Any]) -> str:
 
 def write_card(card: Mapping[str, Any], path: Union[str, Path]) -> Path:
     """Atomically replace ``path`` with the card in canonical form."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, card_to_json(card))
-    return path
+    return write_atomic(path, card_to_json(card))
 
 
 def read_card(path: Union[str, Path]) -> Dict[str, Any]:

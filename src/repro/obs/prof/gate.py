@@ -77,12 +77,9 @@ def results_document(
 def write_results(doc: Mapping[str, Any],
                   directory: Union[str, Path]) -> Path:
     """Atomically write a results document as ``<directory>/BENCH_<run>.json``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{doc['run']}.json"
-    store.write_atomic(path, json.dumps(dict(doc), indent=2,
-                                        sort_keys=True) + "\n")
-    return path
+    return store.write_atomic(Path(directory) / f"BENCH_{doc['run']}.json",
+                              json.dumps(dict(doc), indent=2,
+                                         sort_keys=True) + "\n")
 
 
 # -- baseline ---------------------------------------------------------------
@@ -122,11 +119,8 @@ def write_baseline(baseline: Mapping[str, Any],
     The file is replaced atomically, so a killed update leaves the old
     baseline whole.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    store.write_atomic(
+    return store.write_atomic(
         path, json.dumps(dict(baseline), indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def load_baseline(path: Union[str, Path]) -> Dict[str, Any]:

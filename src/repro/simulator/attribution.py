@@ -51,6 +51,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.util.store import write_atomic
+
 # -- component taxonomy ------------------------------------------------------
 
 #: Tag codes, densely numbered; index into :data:`COMPONENTS`.
@@ -286,39 +288,18 @@ def write_intervals_jsonl(
 
     ``meta`` (benchmark, design point, window size, ...) lands in the
     header.  Keys are sorted for byte-determinism, matching the ``obs``
-    trace sink discipline.  Returns the number of interval lines written.
+    trace sink discipline.  The file is replaced atomically
+    (:func:`repro.util.store.write_atomic`); read it back with
+    :func:`repro.util.store.read_jsonl`.  Returns the number of interval
+    lines written.
     """
-    path = Path(path)
     header = {"kind": "cpi_intervals", "schema": INTERVAL_SCHEMA}
     header.update(meta)
-    count = 0
-    with open(path, "w") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for record in intervals:
-            handle.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-            count += 1
-    return count
-
-
-def read_intervals_jsonl(path: "Path | str") -> Tuple[Dict[str, Any], List[IntervalRecord]]:
-    """Read a stream written by :func:`write_intervals_jsonl`."""
-    path = Path(path)
-    with open(path) as handle:
-        lines = [json.loads(line) for line in handle if line.strip()]
-    if not lines or lines[0].get("kind") != "cpi_intervals":
-        raise ValueError(f"{path} is not a cpi_intervals stream")
-    header = lines[0]
-    records = [
-        IntervalRecord(
-            index=int(row["index"]),
-            first=int(row["first"]),
-            instructions=int(row["instructions"]),
-            cycles=float(row["cycles"]),
-            components={k: float(v) for k, v in row["components"].items()},
-        )
-        for row in lines[1:]
-    ]
-    return header, records
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps(record.as_dict(), sort_keys=True)
+              for record in intervals]
+    write_atomic(path, "\n".join(lines) + "\n")
+    return len(lines) - 1
 
 
 def emit_interval_events(

@@ -136,10 +136,6 @@ class Cache:
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def reset_stats(self) -> None:
-        self.accesses = 0
-        self.misses = 0
-
     def __repr__(self) -> str:
         return (
             f"Cache({self.name}: {self.size_bytes // 1024}KB, "

@@ -69,19 +69,6 @@ FU_CLASS = {
     JUMP: "ialu",
 }
 
-MEMORY_OPS = (LOAD, STORE)
-CONTROL_OPS = (BRANCH, JUMP)
-
-
-def is_memory(op: int) -> bool:
-    """Whether ``op`` is a load or store."""
-    return op == LOAD or op == STORE
-
-
-def is_control(op: int) -> bool:
-    """Whether ``op`` is a branch or jump."""
-    return op == BRANCH or op == JUMP
-
 
 def op_name(op: int) -> str:
     """Human-readable name of an op class; raises ValueError if unknown."""

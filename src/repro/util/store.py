@@ -1,7 +1,11 @@
 """The one persistence seam: result roots, locked JSON files and JSONL logs.
 
-Every file that concurrent processes share, or that a killed process must
-not corrupt, is written here and nowhere else:
+Every whole file the program leaves behind (exhibits, summaries, reports,
+manifests, models, cards, baselines, interval streams) and every file that
+concurrent processes share is written here and nowhere else.  Lint row
+OBS008 keeps it so; only the two append streams, the trace sink
+(:mod:`repro.obs.sinks`) and the serving access log
+(:mod:`repro.obs.live.access`), keep their own file handles.
 
 * :func:`results_dir` and :func:`cache_dir` resolve ``$REPRO_RESULTS_DIR``
   (default ``results``) and ``$REPRO_CACHE_DIR`` (default
@@ -9,8 +13,9 @@ not corrupt, is written here and nowhere else:
 * :func:`file_lock` holds an advisory ``flock`` on a sidecar
   ``<name>.lock`` file;
 * :func:`write_atomic` writes a pid-suffixed temp file next to the target
-  and finishes with ``os.replace``, so a reader, or a writer killed
-  half-way, only ever sees the old file or the new one;
+  (creating the directory) and finishes with ``os.replace``, so a reader,
+  or a writer killed half-way, only ever sees the old file or the new
+  one; a write that fails removes its temp file;
 * :func:`load_json` / :func:`merge_json` read and union-update one JSON
   object under the lock (the simulation cache): the merge re-reads the
   file inside the lock, so two processes flushing the same file keep each
@@ -34,9 +39,9 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 Record = Dict[str, Any]
 
@@ -72,11 +77,24 @@ def file_lock(path: Path) -> Iterator[None]:
             fcntl.flock(handle, fcntl.LOCK_UN)
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` through a pid-suffixed temp file."""
+def write_atomic(path: Union[str, Path], text: str) -> Path:
+    """Replace ``path`` with ``text`` through a pid-suffixed temp file.
+
+    Creates the parent directory.  A write that raises, an interrupt
+    included, removes its temp file and leaves the previous ``path``
+    whole.  Returns the path.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
+    return path
 
 
 def _read_object(path: Path) -> Record:

@@ -128,12 +128,6 @@ class TestEffects:
         assert ranked[0].parameter == "lat"  # slope 2 beats quadratic's 1
         assert ranked[-1].parameter == "frac"
 
-    def test_physical_levels(self, space):
-        effects = main_effects(FakeModel(), space, num_levels=3, background=32)
-        levels = effects["lat"].physical_levels(space)
-        assert levels[0] == pytest.approx(5)
-        assert levels[-1] == pytest.approx(20)
-
     def test_invalid_levels(self, space):
         with pytest.raises(ValueError):
             main_effects(FakeModel(), space, num_levels=1)

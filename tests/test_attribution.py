@@ -30,13 +30,13 @@ from repro.simulator.attribution import (
     CPIStack,
     build_intervals,
     fold_stack,
-    read_intervals_jsonl,
     render_stack_table,
     write_intervals_jsonl,
 )
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.ooo_core import OutOfOrderCore
 from repro.simulator.simulator import Simulator
+from repro.util import store
 from repro.workloads.spec2000 import get_trace
 from tests.test_vectorised import PIN_CPIS, PIN_POINTS
 
@@ -203,16 +203,11 @@ class TestIntervalStream:
         count = write_intervals_jsonl(
             path, intervals, benchmark="twolf", interval=256)
         assert count == len(intervals)
-        header, loaded = read_intervals_jsonl(path)
+        (header, *rows), skipped = store.read_jsonl(path)
+        assert skipped == 0
         assert header["kind"] == "cpi_intervals"
         assert header["benchmark"] == "twolf"
-        assert loaded == intervals
-
-    def test_reader_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "other.jsonl"
-        path.write_text('{"kind": "trace"}\n')
-        with pytest.raises(ValueError):
-            read_intervals_jsonl(path)
+        assert rows == [record.as_dict() for record in intervals]
 
     def test_write_is_deterministic(self, tmp_path):
         trace = get_trace("ammp", 512, 0)

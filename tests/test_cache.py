@@ -85,13 +85,6 @@ class TestBehaviour:
         c.access(0)
         assert c.miss_rate == pytest.approx(0.5)
 
-    def test_reset_stats_keeps_contents(self):
-        c = make_cache()
-        c.access(0x80)
-        c.reset_stats()
-        assert c.accesses == 0
-        assert c.access(0x80) is True
-
     def test_capacity_sweep(self):
         # Touch exactly twice the capacity in lines; the second pass over a
         # working set larger than the cache must miss everywhere (LRU).

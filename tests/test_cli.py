@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro import obs
 from repro.cli import _parse_overrides, build_parser, main
+from repro.util.store import read_jsonl
 
 
 class TestParseOverrides:
@@ -86,15 +94,46 @@ class TestCommands:
         for stack in doc["stacks"].values():
             assert sum(stack["components"].values()) == stack["cycles"]
         # One interval stream per swept configuration.
-        from repro.simulator.attribution import read_intervals_jsonl
-
         written = sorted(tmp_path.glob("iv*.jsonl"))
         assert len(written) == 2
-        header, records = read_intervals_jsonl(written[0])
+        (header, *records), _ = read_jsonl(written[0])
         assert header["kind"] == "cpi_intervals"
         # Intervals tile the measured (post-warmup) region of the run.
         measured = doc["stacks"]["pipe_depth=7"]["instructions"]
-        assert sum(r.instructions for r in records) == measured
+        assert sum(r["instructions"] for r in records) == measured
+
+    def test_stacks_intervals_create_a_fresh_results_root(self, tmp_path,
+                                                           monkeypatch):
+        root = tmp_path / "fresh" / "results"
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(root))
+        assert main(["stacks", "mcf", "--trace-length", "512",
+                     "--intervals"]) == 0
+        (header, *records), skipped = read_jsonl(root / "stacks-mcf.jsonl")
+        assert header["kind"] == "cpi_intervals"
+        assert records and not skipped
+
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
+        # ``repro trace summary t.jsonl | head -1``, made deterministic: the
+        # pipe's read end is closed before the command writes anything.
+        with obs.collecting() as collector:
+            for i in range(200):
+                with obs.span(f"stage-{i}"):
+                    pass
+        trace = obs.write_trace(collector, tmp_path / "trace.jsonl")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "trace", "summary",
+                 str(trace)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr.decode()
+        assert proc.returncode == 1
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -41,7 +41,6 @@ class TestFig5Render:
         assert "l2_lat" in text
         assert "3 splits total" in text
         assert result.significant_counts()["l2_lat"] == 1
-        assert result.split_counts()["l2_lat"] == 2
 
 
 class TestFig6Render:

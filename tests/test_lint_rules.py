@@ -595,6 +595,55 @@ class TestOBS007:
         assert result.ok
 
 
+class TestOBS008:
+    def test_flags_every_way_to_write_a_file(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            from pathlib import Path
+            Path(p).write_text(text)
+            path.write_bytes(blob)
+            open(p, "w")
+            open(p, mode="ab")
+            open(p, "x")
+            open(p, "r+")
+            path.open("w")
+            open(p, mode)
+            path.open(mode=how)
+            """, filename="repro/core/persist.py", select={"OBS008"})
+        assert [f.line for f in result.findings] == list(range(2, 11))
+
+    def test_reads_and_devnull_are_not_flagged(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import os
+            open(p)
+            open(p, "rb")
+            open(p, mode="r", encoding="utf-8")
+            path.open()
+            path.open("rb")
+            path.read_text()
+            os.open(os.devnull, os.O_WRONLY)
+            """, filename="repro/core/load.py", select={"OBS008"})
+        assert result.ok
+
+    def test_the_store_writes_every_way_it_owns(self, tmp_path):
+        # Liveness: the rule still recognises what the real store does.
+        result = lint_source(
+            tmp_path, (SRC / "util" / "store.py").read_text("utf-8"),
+            filename="repro/core/store_copy.py", select={"OBS008"})
+        assert flagged(result) == {"open()", "write_text()"}
+
+    def test_exempts_the_store_the_append_streams_and_non_library_code(
+            self, tmp_path):
+        source = "open(p, 'w')\npath.write_text(t)\npath.write_bytes(b)\n"
+        result = lint_source(
+            tmp_path, source, filename="repro/util/store.py",
+            select={"OBS008"},
+            extra_files=[("repro/obs/sinks.py", source),
+                         ("repro/obs/live/access.py", source),
+                         ("perfbench/workloads.py", source)],
+        )
+        assert result.ok
+
+
 class TestSeamScope:
     # Library code is the ``repro`` package, found by walking the
     # ``__init__.py`` chain; directory names elsewhere in the path
@@ -775,7 +824,7 @@ class TestFramework:
     def test_every_rule_has_id_title_and_docs(self):
         expected = {"RNG001", "NUM001", "NUM002", "DS001", "REG001",
                     "API001", "API002", "OBS001", "OBS002", "OBS003",
-                    "OBS004", "OBS005", "OBS006", "OBS007"}
+                    "OBS004", "OBS005", "OBS006", "OBS007", "OBS008"}
         assert expected <= set(RULES)
         for rule_id, cls in RULES.items():
             assert cls.title, rule_id

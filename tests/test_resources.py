@@ -17,7 +17,8 @@ from tests.test_ooo_core import build_trace, run
 
 def fu_starts(ops, **cfg):
     """Unit start times of independent ``ops``, and the times they asked."""
-    rows = [(op, 0, 0, 0x10000 + 0x40 * k if isa.is_memory(op) else 0, False)
+    memory = (isa.LOAD, isa.STORE)
+    rows = [(op, 0, 0, 0x10000 + 0x40 * k if op in memory else 0, False)
             for k, op in enumerate(ops)]
     core, _ = run(build_trace(rows, loop_pc_bytes=64), **cfg)
     tl = core.timeline
@@ -83,12 +84,6 @@ class TestIsa:
             assert op in isa.OP_TIMING
             assert op in isa.FU_CLASS
             assert isa.op_name(op)
-
-    def test_predicates(self):
-        assert isa.is_memory(isa.LOAD) and isa.is_memory(isa.STORE)
-        assert not isa.is_memory(isa.IALU)
-        assert isa.is_control(isa.BRANCH) and isa.is_control(isa.JUMP)
-        assert not isa.is_control(isa.FPALU)
 
     def test_unknown_op_name(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,17 @@
 """Tests for the persistence seam, :mod:`repro.util.store`.
 
 Covers what the store promises its writers (the simulation cache, the
-run ledger, the model registry index, the run manifest) and the trace
-sink: a file that fails to read is never replaced, corrupt content is
-quarantined with its bytes intact, and a writer killed at any point
-keeps every record it acknowledged.  That no other module re-implements
-the locking, atomic replace or result-root resolution, and that run
-records are written only through :func:`repro.obs.history.record_run`,
-are the seam-table lint rules OBS005 and OBS006, enforced on the tree
-by ``tests/test_lint_clean.py``.
+run ledger, the model registry index, the run manifest, every whole file
+the program leaves behind) and the trace sink: a file that fails to read
+is never replaced, corrupt content is quarantined with its bytes intact,
+a writer killed at any point keeps every record it acknowledged, and a
+failed rewrite keeps the previous file and leaves no temp file.  That no
+other module re-implements the locking, atomic replace or result-root
+resolution, that run records are written only through
+:func:`repro.obs.history.record_run`, and that whole files are written
+only through :func:`repro.util.store.write_atomic`, are the seam-table
+lint rules OBS005, OBS006 and OBS008, enforced on the tree by
+``tests/test_lint_clean.py``.
 """
 
 import errno
@@ -23,12 +26,17 @@ import pytest
 from repro import obs
 from repro.cli import main as cli_main
 from repro.core.design_space import paper_design_space
+from repro.experiments.report import emit
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.summary import write_summary
+from repro.models import registry
+from repro.models.io import save_model
 from repro.models.rbf import build_rbf_from_tree
 from repro.models.registry import ModelRegistry
-from repro.obs import history
+from repro.obs import history, modelcard, prof
 from repro.obs.sinks import StreamingTraceSink
 from repro.obs.tracing import SpanNode
+from repro.simulator.attribution import write_intervals_jsonl
 from repro.util import store
 
 TRACE_LENGTH = 1000
@@ -295,3 +303,81 @@ def test_killed_writer_keeps_acknowledged_records(tmp_path, kind, kill):
         fresh = WRITERS[kind](tmp_path)
         acked.append(fresh.write(2))
         fresh.check(acked)
+
+
+# -- a failed whole-file write keeps the previous file ------------------------
+
+
+def _artifact(root, version):
+    x = np.random.default_rng(3).random((40, 3))
+    model, _ = build_rbf_from_tree(x, x.sum(axis=1), p_min=2, alpha=4.0)
+    return save_model(model, root / "model.json", metadata={"v": version})
+
+
+def _summary(root, version):
+    (root / "ablation_v.txt").write_text(f"ablation {version}\n")
+    return write_summary(root)
+
+
+def _html_report(root, version):
+    history.append_run({"command": "build", "v": version},
+                       history.default_history_path())
+    assert cli_main(["report", "--html", str(root / "report.html")]) == 0
+    return root / "report.html"
+
+
+def _intervals(root, version):
+    path = root / "stacks-mcf.jsonl"
+    write_intervals_jsonl(path, [], benchmark="mcf", v=version)
+    return path
+
+
+#: Every caller of ``store.write_atomic`` that replaces a whole file:
+#: ``write(root, version)`` writes the file for ``version`` under
+#: ``root`` (also the results root) and returns its path.
+WHOLE_FILE_WRITERS = {
+    "manifest": lambda root, v: obs.write_manifest(root / "manifest.json",
+                                                   {"v": v}),
+    "card": lambda root, v: modelcard.write_card({"v": v},
+                                                 root / "card.json"),
+    "artifact": _artifact,
+    "probe-baseline": lambda root, v: registry.write_baseline(
+        {"v": v}, root / "probe.json"),
+    "bench-results": lambda root, v: prof.write_results(
+        {"run": "r", "v": v}, root),
+    "bench-baseline": lambda root, v: prof.write_baseline(
+        {"v": v}, root / "baseline.json"),
+    "exhibit": lambda root, v: emit("exhibit", f"exhibit {v}"),
+    "summary": _summary,
+    "html-report": _html_report,
+    "intervals": _intervals,
+}
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt(),
+], ids=["disk-full", "interrupt"])
+@pytest.mark.parametrize("kind", sorted(WHOLE_FILE_WRITERS))
+def test_failed_rewrite_keeps_the_previous_file(tmp_path, monkeypatch, kind,
+                                                error):
+    # The rewrite writes half its text, then fails: the file on disk is
+    # still the previous one, and no temp file is left beside it.
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    write = WHOLE_FILE_WRITERS[kind]
+    path = write(tmp_path, 0)
+    before = path.read_bytes()
+    write_text = Path.write_text
+
+    def half_then_fail(target, text, *args, **kwargs):
+        if not target.name.startswith(path.name):
+            return write_text(target, text, *args, **kwargs)
+        write_text(target, text[:len(text) // 2], *args, **kwargs)
+        raise error
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", half_then_fail)
+        with pytest.raises(type(error)):
+            write(tmp_path, 1)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert write(tmp_path, 1).read_bytes() != before

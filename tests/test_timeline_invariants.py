@@ -81,7 +81,7 @@ def check_invariants(config, trace, tl):
     # LSQ: a memory op's dispatch waits for the commit of the memory op
     # lsq_size back in memory-op order.
     lsq = config.lsq_size
-    mem = [i for i in range(n) if isa.is_memory(int(trace.op[i]))]
+    mem = [i for i in range(n) if trace.op[i] in (isa.LOAD, isa.STORE)]
     for m_idx in range(lsq, len(mem)):
         assert (tl.commit[mem[m_idx - lsq]] + 1.0
                 <= tl.dispatch[mem[m_idx]]), mem[m_idx]
