@@ -96,7 +96,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional
@@ -1332,12 +1334,27 @@ def _trace_destination(args: argparse.Namespace) -> Optional[Path]:
     return Path(spec)
 
 
+class Terminated(KeyboardInterrupt):
+    """SIGTERM as an exception: what stops cleanly on Ctrl-C stops on it too."""
+
+
+def _terminate(signum, frame) -> None:
+    raise Terminated()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
     A reader that closes stdout early (``repro trace summary t.jsonl |
-    head -1``) ends the run with exit code 1 and no traceback.
+    head -1``) ends the run with exit code 1 and no traceback.  SIGTERM
+    ends a run the way Ctrl-C does: it raises :class:`Terminated`, so the
+    run's trace closes its open spans with ``error``, its manifest and
+    ledger record carry ``error``, and ``repro serve`` shuts down
+    cleanly; any other command then exits with code 143 (128 + SIGTERM).
     """
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         code = _run(argv)
         # A closed pipe fails this flush here rather than at exit.
@@ -1347,6 +1364,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Python flushes stdout again at exit: give that flush a sink.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except Terminated:
+        return 128 + signal.SIGTERM
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def _run(argv: Optional[List[str]]) -> int:

@@ -23,6 +23,7 @@ store's lock, so concurrent runners keep each other's simulations.
 from __future__ import annotations
 
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -91,9 +92,12 @@ def _worker_init(benchmark: str, trace_length: int, seed: int,
     """Pool initializer: build the benchmark trace once per worker process.
 
     ``prepare()`` decodes the per-trace invariants (column lists, line
-    ids) here, so every simulation the worker runs reuses them.
+    ids) here, so every simulation the worker runs reuses them.  A
+    worker forked from the CLI drops its SIGTERM handler: only the
+    parent turns the signal into an exception.
     """
     global _WORKER_TRACE, _WORKER_OBS
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_TRACE = get_trace(benchmark, trace_length, seed).prepare()
     _WORKER_OBS = bool(trace_enabled)
 

@@ -2,8 +2,7 @@
 
 The paper's statistical claims rest on discipline the type system cannot
 see: explicitly seeded RNGs, well-conditioned least-squares fits, design
-points whose parameter names actually exist in Table 1, a
-tables/figures registry that stays in sync with its harnesses, and side
+points whose parameter names actually exist in Table 1, and side
 effects that go through one seam each.  This package enforces those
 contracts mechanically:
 
@@ -12,7 +11,6 @@ RNG001    no module-level ``np.random.*`` / ``random.*`` RNG calls
 NUM001    no ``np.linalg.inv`` / unregularized normal-equation solves
 NUM002    no ``==`` / ``!=`` comparisons against float literals
 DS001     parameter-name strings must exist in ``core/design_space.py``
-REG001    experiments / registry.py / benchmarks harnesses in sync
 API001    no mutable default arguments, no bare ``except:``
 API002    no function calls evaluated in parameter defaults
 OBS001    ``print`` only in the CLIs, the lint reporters and ``repro.obs``

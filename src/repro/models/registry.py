@@ -16,7 +16,8 @@ Layout under ``results/models`` (honouring ``$REPRO_RESULTS_DIR``)::
 
     index.jsonl           one record per registration, append-only
     artifacts/<sha>.json  the model, via repro.models.io (hash-verified)
-    cards/<sha>.json      the model card, canonical sorted-key JSON
+    cards/<hash>.json     the model card, canonical sorted-key JSON,
+                          named by a hash of its own bytes
 
 Drift gating compares two fits of the same lineage on a *fixed seeded
 probe grid* (no simulation needed) with a MAD-style score — the same
@@ -36,7 +37,7 @@ import numpy as np
 
 from repro.models.base import Model
 from repro.models.io import encode_model, load_model, model_family, save_model
-from repro.obs.modelcard import read_card, write_card
+from repro.obs.modelcard import card_to_json, read_card, write_card
 from repro.util import store
 from repro.util.rng import make_rng
 
@@ -151,9 +152,14 @@ class ModelRegistry:
         """Absolute path of the model file for ``sha``."""
         return self.root / "artifacts" / f"{sha}.json"
 
-    def card_path(self, sha: str) -> Path:
-        """Absolute path of the model card for ``sha``."""
-        return self.root / "cards" / f"{sha}.json"
+    def card_path(self, card: Mapping[str, Any]) -> Path:
+        """Absolute path of ``card``, named by a hash of its canonical bytes.
+
+        A card carries its run's cost and creation time, so an identical
+        refit registers a new card beside the old one, never over it.
+        """
+        digest = sha256(card_to_json(card).encode("utf-8")).hexdigest()[:16]
+        return self.root / "cards" / f"{digest}.json"
 
     # -- reading -------------------------------------------------------------
 
@@ -275,7 +281,7 @@ class ModelRegistry:
         artifact = save_model(model, self.artifact_path(sha),
                               parameter_names=parameter_names,
                               metadata=metadata)
-        card_file = (write_card(card, self.card_path(sha))
+        card_file = (write_card(card, self.card_path(card))
                      if card is not None else None)
 
         def build(records: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -9,6 +9,9 @@ telemetry (access log, streaming trace) lives behind the synchronous
 the async handlers here never touch files, sockets or clocks directly
 (lint rule OBS004 enforces that).
 
+Reading a request is bounded: a connection that has not sent
+its whole request within :data:`READ_TIMEOUT_S` is aborted.
+
 Shutdown is deterministic: with ``max_requests`` set on the app, the
 server closes itself once the budget is spent — the hook the CI smoke
 job uses to run a real client against a real socket and still exit.
@@ -24,6 +27,9 @@ from repro.serve.app import ServingApp
 
 #: Largest accepted request body (covers a 100k-point batch with room).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a client has to send its whole request (line, headers, body).
+READ_TIMEOUT_S = 30.0
 
 _REASONS = {
     200: "OK",
@@ -94,6 +100,10 @@ async def _handle_client(
     writer: asyncio.StreamWriter,
 ) -> None:
     """Serve one connection: one request, one JSON response, close."""
+    # A timer, not a task: at the deadline it aborts the transport, which
+    # ends the pending read with EOF.
+    deadline = asyncio.get_running_loop().call_later(
+        READ_TIMEOUT_S, writer.transport.abort)
     try:
         try:
             request = await _read_request(reader)
@@ -101,8 +111,10 @@ async def _handle_client(
             writer.write(_render_response(400, {"error": str(exc)}))
             await writer.drain()
             return
-        if request is None:
-            return
+        finally:
+            deadline.cancel()
+        if request is None or writer.transport.is_closing():
+            return  # nothing sent, or cut off at the deadline
         method, target, body = request
         status, payload = app.handle(method, target, body)
         writer.write(_render_response(status, payload))

@@ -3,12 +3,17 @@
 The out-of-order core (:mod:`repro.simulator.ooo_core`) computes exact
 per-instruction commit times; this module turns the *gaps* between
 consecutive commits into a canonical CPI stack.  During an attributed run
-the core tags every committed instruction with the **binding constraint**
-on its commit-to-commit gap — the single machine resource or latency that
-determined when the instruction could commit, found by descending the
-same max-of-candidates chain the timing loop itself evaluates (commit
-width → completion → functional units → operands → dispatch structures →
-front end).  Folding the tagged gaps gives one cycle total per component.
+the core tags every committed instruction with the cause of its
+commit-to-commit gap.  The tag is never re-derived: where the timing loop
+takes each max of candidates it records the winner (front end, ROB, IQ
+or LSQ at dispatch; the producing operand at issue), and the gap reads
+its tag off them.  An empty gap, or one the commit width set, is
+``base``.  Otherwise the instruction's completion set it, and the tag is
+its own execution level when its service fills at least as much of the
+gap as its wait before issue; else ``fu`` when a busy unit delayed
+issue; else the winning operand's producer's execution level; else the
+dispatch winner.  Folding the tagged gaps gives one cycle total per
+component.
 
 Because every timestamp in the simulator is an integer-valued float (all
 latencies are configuration integers and every pipeline step adds 1.0),

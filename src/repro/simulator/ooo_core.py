@@ -137,8 +137,9 @@ class OutOfOrderCore:
             Defaults to one eighth of the trace; pass 0 to measure from a
             cold machine.
         collect_attribution:
-            Tag each committed instruction with the binding constraint on
-            its commit gap and fold the tags into a CPI stack (see
+            Tag each committed instruction with the cause of its commit
+            gap, read off the candidates that won the loop's own maxes,
+            and fold the tags into a CPI stack (see
             :mod:`repro.simulator.attribution`); raw tags land in
             :attr:`attribution`, the folded stack in the result's
             ``stack`` field.  Off by default; the untagged path is
@@ -214,16 +215,18 @@ class OutOfOrderCore:
         warm_counters = self._counters() if warmup == 0 else None
         warm_commit = 0.0
 
-        if collect_timeline:
-            tl = Timeline([], [], [], [], [])
+        if collect_timeline:  # the other three stages are the loop's lists
+            fetch_times: List[float] = []
+            dispatch_times: List[float] = []
 
-        # Cycle-attribution state.  ``fetch_tag`` explains the current
-        # value of ``fetch_cycle`` (base advance, I-cache stall, redirect
-        # or BTB bubble); ``redirect_pending`` marks the refill window
-        # after a front-end restart so the I-cache miss it forces stays
-        # attributed to the redirect.  The plain state assignments below
-        # run unconditionally (cheap stores, no numerics); everything
-        # with per-instruction cost is gated on ``collect_attribution``.
+        # Cycle-attribution state: each max records its winner.
+        # ``fetch_tag`` explains ``fetch_cycle`` (base advance, I-cache
+        # stall, redirect or BTB bubble), ``dispatch_tag`` the dispatch
+        # time (front end, ROB, IQ or LSQ) and ``producer`` the issue
+        # request (the winning operand's distance back, 0 for none).
+        # ``redirect_pending`` keeps the I-cache miss a front-end restart
+        # forces attributed to the restart.  These plain stores run
+        # unconditionally; the rest is gated on ``collect_attribution``.
         fetch_tag = TAG_BASE
         redirect_pending = False
         if collect_attribution:
@@ -259,35 +262,41 @@ class OutOfOrderCore:
                             fetch_tag = TAG_ICACHE
                     redirect_pending = False
             fetch_time = fetch_cycle
-            cause_fetch = fetch_tag
             slots += 1
 
             # ---- dispatch (ROB / IQ / LSQ allocation) ----------------------
             dispatch = fetch_time + front
+            dispatch_tag = fetch_tag
             if i >= rob:
                 t = commit[i - rob] + 1.0
                 if t > dispatch:
                     dispatch = t
+                    dispatch_tag = TAG_ROB
             if i >= iq:
                 t = issue_at[i - iq] + 1.0
                 if t > dispatch:
                     dispatch = t
+                    dispatch_tag = TAG_IQ
             is_mem = op == load_op or op == store_op
             if is_mem and mem_count >= lsq:
                 t = mem_commit[mem_count - lsq] + 1.0
                 if t > dispatch:
                     dispatch = t
+                    dispatch_tag = TAG_LSQ
 
             # ---- issue (operands + functional unit) -----------------------
             issue = dispatch + 1.0
+            producer = 0
             if s1:
                 t = complete[i - s1]
                 if t > issue:
                     issue = t
+                    producer = s1
             if s2:
                 t = complete[i - s2]
                 if t > issue:
                     issue = t
+                    producer = s2
             # The pool's earliest-free unit, the root of its free-time heap.
             free = fu_free[op]
             best = free[0]
@@ -368,65 +377,27 @@ class OutOfOrderCore:
                 c = commit[i - commit_width] + 1.0
             commit[i] = c
             if collect_attribution:
-                # Binding-constraint descent: re-derive which candidate of
-                # each max-of-candidates above actually produced its stage
-                # time (same values, same strict-> tie-breaks), walking
-                # commit -> completion -> FU -> operands -> dispatch ->
-                # front end until the binding constraint names a component.
-                # ``mem_count`` is still pre-increment here, so the LSQ
-                # candidate recomputes exactly as at dispatch.
+                # An empty gap, or one the commit width set, is base.
+                # Otherwise completion set ``c``: blame the op's own
+                # service if it fills at least as much of the gap as the
+                # wait before issue (only the part of (start, comp] past
+                # ``prev_c`` counts, so a back-pressured op reaches its
+                # cause), else the winner at issue, else at dispatch.
                 exec_level[i] = exec_tag
                 prev_c = commit[i - 1] if i > 0 else 0.0
-                if c == prev_c:
-                    tag = TAG_BASE  # zero-width gap: fully hidden
+                if c == prev_c or c != comp + 1.0:
+                    tag = TAG_BASE
                 else:
-                    cand = comp + 1.0
-                    width_bound = (
-                        i >= commit_width and commit[i - commit_width] + 1.0 > cand
-                    )
-                    # Execution service *visible inside the gap*: the part
-                    # of (start, comp] past the previous commit.  Using the
-                    # visible portion (not raw latency) keeps back-pressured
-                    # single-cycle ops — whose start is already behind
-                    # prev_c — descending to the true structural cause.
                     wait = start - prev_c
                     served = comp - (start if wait > 0.0 else prev_c)
-                    if width_bound:
-                        tag = TAG_BASE  # smooth commit-width-limited flow
-                    elif served > 0.0 and served >= wait:
-                        # Execution latency dominates the gap: the
-                        # instruction's own service time.
+                    if served > 0.0 and served >= wait:
                         tag = exec_tag
                     elif start > issue:
                         tag = TAG_FU
+                    elif producer:
+                        tag = exec_level[i - producer]
                     else:
-                        prod = -1
-                        icand = dispatch + 1.0
-                        if s1 and complete[i - s1] > icand:
-                            icand = complete[i - s1]
-                            prod = i - s1
-                        if s2 and complete[i - s2] > icand:
-                            icand = complete[i - s2]
-                            prod = i - s2
-                        if prod >= 0:
-                            # Operand-bound: blame the producer's own
-                            # execution (memory level for loads, else dep).
-                            tag = exec_level[prod]
-                        else:
-                            tag = cause_fetch
-                            dcand = fetch_time + front
-                            if i >= rob and commit[i - rob] + 1.0 > dcand:
-                                dcand = commit[i - rob] + 1.0
-                                tag = TAG_ROB
-                            if i >= iq and issue_at[i - iq] + 1.0 > dcand:
-                                dcand = issue_at[i - iq] + 1.0
-                                tag = TAG_IQ
-                            if (
-                                is_mem
-                                and mem_count >= lsq
-                                and mem_commit[mem_count - lsq] + 1.0 > dcand
-                            ):
-                                tag = TAG_LSQ
+                        tag = dispatch_tag
                 attr_tags.append(tag)
             if is_mem:
                 mem_commit.append(c)
@@ -456,14 +427,12 @@ class OutOfOrderCore:
                 warm_commit = c
 
             if collect_timeline:
-                tl.fetch.append(fetch_time)
-                tl.dispatch.append(dispatch)
-                tl.issue.append(start)
-                tl.complete.append(comp)
-                tl.commit.append(c)
+                fetch_times.append(fetch_time)
+                dispatch_times.append(dispatch)
 
         if collect_timeline:
-            self.timeline = tl
+            self.timeline = Timeline(
+                fetch_times, dispatch_times, issue_at, complete, commit)
 
         stack = None
         if collect_attribution:

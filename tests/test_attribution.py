@@ -38,6 +38,7 @@ from repro.simulator.ooo_core import OutOfOrderCore
 from repro.simulator.simulator import Simulator
 from repro.util import store
 from repro.workloads.spec2000 import get_trace
+from tests.test_timeline_invariants import check_invariants
 from tests.test_vectorised import PIN_CPIS, PIN_POINTS
 
 PIN_TRACE_LENGTH = 4096
@@ -107,9 +108,14 @@ def test_intervals_partition_the_run():
 
 
 def _stack_for(**overrides):
+    # Every tag of a machine that starves one structure also meets the
+    # tag laws of tests.test_timeline_invariants.
+    config = ProcessorConfig(**overrides)
     trace = get_trace("mcf", 2048, 0)
-    _, attribution = _attributed(ProcessorConfig(**overrides), trace)
-    return attribution.stack().components
+    core = OutOfOrderCore(config)
+    core.run(trace, collect_timeline=True, collect_attribution=True)
+    check_invariants(config, trace, core.timeline, core.attribution.tags)
+    return core.attribution.stack().components
 
 
 class TestStructuralResponse:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,48 @@ class TestCommands:
             os.close(write_end)
         assert "Traceback" not in proc.stderr.decode()
         assert proc.returncode == 1
+
+    def test_sigterm_ends_a_build_like_ctrl_c(self, tmp_path):
+        # ``kill -TERM`` mid-build, made deterministic: the child signals
+        # itself as its fifth simulation starts.
+        script = textwrap.dedent("""\
+            import os, signal, sys
+            from repro.cli import main
+            from repro.simulator.simulator import Simulator
+            run, calls = Simulator.run, []
+            def run_then_terminate(self, *args, **kwargs):
+                calls.append(None)
+                if len(calls) == 5:
+                    os.kill(os.getpid(), signal.SIGTERM)
+                return run(self, *args, **kwargs)
+            Simulator.run = run_then_terminate
+            sys.exit(main(sys.argv[1:]))
+            """)
+        results, trace = tmp_path / "results", tmp_path / "build.jsonl"
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+                   REPRO_RESULTS_DIR=str(results),
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "build", "--benchmark", "mcf",
+             "--sample-size", "12", "--test-points", "4",
+             "--trace-length", "512", f"--trace={trace}"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 143, proc.stderr
+        assert "Traceback" not in proc.stderr
+        manifest = obs.read_manifest(results / "manifest.json")
+        assert manifest["error"] == "Terminated"
+        records, _ = read_jsonl(results / "history" / "runs.jsonl")
+        assert records[-1]["error"] == "Terminated"
+        (root,) = obs.read_trace(trace).roots
+        assert (root.name, root.attrs["error"]) == ("repro/build", "Terminated")
+        # The four finished simulations are in the trace, error-free.
+        simulated = [child for span in root.walk()
+                     if span.name == "simulate_batch"
+                     for child in span.children]
+        assert [s.name for s in simulated] == ["simulate"] * 4
+        assert not any("error" in s.attrs for s in simulated)
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -24,6 +24,7 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.models.rbf import RBFBuildInfo
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+EXPERIMENTS_DIR = REPO_ROOT / "src" / "repro" / "experiments"
 
 
 class TestRegistry:
@@ -47,6 +48,20 @@ class TestRegistry:
             module = importlib.import_module(exp.module)
             assert hasattr(module, "run")
             assert hasattr(module, "render")
+
+    def test_every_exhibit_module_is_registered(self):
+        # An unregistered exhibit module silently stops being regenerated.
+        registered = {exp.module.rsplit(".", 1)[-1]
+                      for exp in EXPERIMENTS.values()}
+        exhibits = {path.stem for pattern in ("fig*.py", "table*.py")
+                    for path in EXPERIMENTS_DIR.glob(pattern)}
+        assert exhibits and exhibits <= registered
+
+    def test_every_harness_is_registered(self):
+        registered = {Path(exp.bench).name for exp in EXPERIMENTS.values()}
+        harnesses = {path.name for pattern in ("test_fig*.py", "test_table*.py")
+                     for path in (REPO_ROOT / "benchmarks").glob(pattern)}
+        assert harnesses and harnesses <= registered
 
 
 class TestRenderers:

@@ -3,8 +3,7 @@
 This is the tier-1 enforcement point for the contracts in
 :mod:`repro.lint`: any change that introduces a module-level RNG call,
 an ill-conditioned solve, a float equality, an unknown design-space
-parameter name, registry/harness drift, an API-hygiene violation, or a
-side effect that goes around its seam (console, clock, artifact files,
+parameter name, an API-hygiene violation, or a side effect that goes around its seam (console, clock, artifact files,
 shared-file persistence, run records) in ``src/`` fails here — with the
 finding list in the assertion message.
 """
@@ -47,21 +46,3 @@ def test_benchmarks_and_examples_are_lint_clean():
         "new lint findings in benchmarks/examples/perfbench:\n"
         f"{_render(result.findings)}"
     )
-
-
-def test_registry_benchmarks_sync_is_enforced():
-    # REG001 must actually engage on the real tree (not silently skip):
-    # the registry parses and every exhibit resolves in both directions.
-    from repro.lint.rules.registry_sync import RegistryInfo
-    import ast
-
-    reg_path = os.path.join(SRC, "repro", "experiments", "registry.py")
-    with open(reg_path, "r", encoding="utf-8") as fh:
-        info = RegistryInfo.parse(ast.parse(fh.read()))
-    assert len(info.modules) >= 10
-    assert len(info.benches) == len(info.modules)
-    for stem in info.module_stems:
-        assert os.path.isfile(
-            os.path.join(SRC, "repro", "experiments", stem + ".py")), stem
-    for bench in info.benches:
-        assert os.path.isfile(os.path.join(REPO_ROOT, bench)), bench

@@ -180,69 +180,6 @@ class TestDS001:
         assert result.ok and len(result.suppressed) == 1
 
 
-class TestREG001:
-    REGISTRY = """\
-        EXPERIMENTS = {
-            "fig1": Experiment(
-                "Figure 1", "title",
-                "repro.experiments.fig1_demo",
-                "benchmarks/test_fig1_demo.py",
-                "mcf",
-            ),
-        }
-        """
-
-    def test_flags_unregistered_experiment_module(self, tmp_path):
-        result = lint_source(
-            tmp_path, '"""Orphan exhibit."""\n',
-            filename="experiments/fig9_orphan.py",
-            extra_files=[
-                ("experiments/registry.py", self.REGISTRY),
-                ("experiments/fig1_demo.py", '"""Registered."""\n'),
-                ("benchmarks/test_fig1_demo.py", "def test_ok():\n    pass\n"),
-            ],
-        )
-        assert rule_ids(result) == ["REG001"]
-        assert "fig9_orphan" in result.findings[0].message
-
-    def test_flags_missing_harness_and_orphan_harness(self, tmp_path):
-        result = lint_source(
-            tmp_path, '"""Registered."""\n',
-            filename="experiments/fig1_demo.py",
-            extra_files=[
-                ("experiments/registry.py", self.REGISTRY),
-                # registered harness missing; an unregistered one present
-                ("benchmarks/test_table9_orphan.py", "def test_x():\n    pass\n"),
-            ],
-        )
-        messages = " | ".join(f.message for f in result.findings)
-        assert "test_fig1_demo.py" in messages  # registered but missing
-        assert "test_table9_orphan.py" in messages  # orphaned harness
-
-    def test_clean_when_all_three_sides_agree(self, tmp_path):
-        result = lint_source(
-            tmp_path, '"""Registered."""\n',
-            filename="experiments/fig1_demo.py",
-            extra_files=[
-                ("experiments/registry.py", self.REGISTRY),
-                ("benchmarks/test_fig1_demo.py", "def test_ok():\n    pass\n"),
-            ],
-        )
-        assert result.ok
-
-    def test_file_level_noqa_suppresses(self, tmp_path):
-        result = lint_source(
-            tmp_path, '# repro: noqa[REG001]\n"""Orphan exhibit."""\n',
-            filename="experiments/fig9_orphan.py",
-            extra_files=[
-                ("experiments/registry.py", self.REGISTRY),
-                ("experiments/fig1_demo.py", '"""Registered."""\n'),
-                ("benchmarks/test_fig1_demo.py", "def test_ok():\n    pass\n"),
-            ],
-        )
-        assert result.ok and len(result.suppressed) == 1
-
-
 class TestAPI001:
     def test_flags_mutable_default_and_bare_except(self, tmp_path):
         result = lint_source(tmp_path, """\
@@ -822,7 +759,7 @@ class TestFramework:
         assert {"rule", "path", "line", "col", "message"} <= set(doc["findings"][0])
 
     def test_every_rule_has_id_title_and_docs(self):
-        expected = {"RNG001", "NUM001", "NUM002", "DS001", "REG001",
+        expected = {"RNG001", "NUM001", "NUM002", "DS001",
                     "API001", "API002", "OBS001", "OBS002", "OBS003",
                     "OBS004", "OBS005", "OBS006", "OBS007", "OBS008"}
         assert expected <= set(RULES)
@@ -870,7 +807,7 @@ class TestCli:
         assert self._run(str(dirty), "--select", "NUM002").returncode == 0
         listing = self._run("--list-rules")
         assert listing.returncode == 0
-        for rule_id in ("RNG001", "NUM001", "NUM002", "DS001", "REG001",
+        for rule_id in ("RNG001", "NUM001", "NUM002", "DS001",
                         "API001", "API002", "OBS001", "OBS004", "OBS005",
                         "OBS006"):
             assert rule_id in listing.stdout

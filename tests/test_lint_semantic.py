@@ -591,4 +591,4 @@ def test_semantic_rules_are_registered():
 
     project_rules = {rule_id for rule_id, cls in RULES.items()
                      if issubclass(cls, ProjectRule)}
-    assert project_rules == SEMANTIC_RULES | {"REG001"}
+    assert project_rules == SEMANTIC_RULES

@@ -546,10 +546,11 @@ class TestManifest:
         assert cli_main(argv) == 0
         assert cli_main(argv) == 0
         assert len(calls) == 1
-        (card,) = {path.read_text() for path in
-                   (tmp_path / "results" / "models" / "cards").iterdir()}
+        cards = [json.loads(path.read_text()) for path in
+                 (tmp_path / "results" / "models" / "cards").iterdir()]
         manifest = obs.read_manifest(tmp_path / "results" / "manifest.json")
-        assert json.loads(card)["git_sha"] == manifest["git_sha"]
+        assert len(cards) == 2  # one per registration: each run's own cost
+        assert {card["git_sha"] for card in cards} == {manifest["git_sha"]}
 
     def test_version_flag_matches_package_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

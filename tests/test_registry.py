@@ -89,6 +89,25 @@ class TestContentAddressing:
         assert registry.find("mcf") == entry
         assert registry.find("nope") is None
 
+    def test_reregistration_keeps_the_earlier_card(self, fitted, tmp_path):
+        # An identical refit is a new version whose card carries its own
+        # run's cost; the earlier entry's card must keep its bytes.
+        net, x, y = fitted
+        registry = make_registry(tmp_path)
+
+        def card(wall_time_s):
+            return modelcard.build_card(
+                family="rbf", benchmark="mcf", sample_size=60, seed=42,
+                cost={"wall_time_s": wall_time_s}, created=PINNED_NOW)
+
+        first = register(registry, net, card=card(1.0))
+        before = (registry.root / first.card).read_bytes()
+        second = register(registry, net, card=card(9.0))
+        assert (second.sha, second.version) == (first.sha, 2)
+        assert (registry.root / first.card).read_bytes() == before
+        assert registry.card(first)["cost"]["wall_time_s"] == 1.0
+        assert registry.card(second)["cost"]["wall_time_s"] == 9.0
+
     @pytest.mark.parametrize("torn", ["artifacts", "cards"])
     def test_torn_reregistration_keeps_the_listed_files(
             self, fitted, tmp_path, monkeypatch, torn):
@@ -103,7 +122,7 @@ class TestContentAddressing:
                                     created=PINNED_NOW)
         entry = register(registry, net, card=card)
         before = (registry.artifact_path(entry.sha).read_bytes(),
-                  registry.card_path(entry.sha).read_bytes())
+                  (registry.root / entry.card).read_bytes())
         write_text = Path.write_text
 
         def disk_full(path, text, *args, **kwargs):
@@ -117,7 +136,7 @@ class TestContentAddressing:
             with pytest.raises(OSError):
                 register(registry, net, card=card)
         assert (registry.artifact_path(entry.sha).read_bytes(),
-                registry.card_path(entry.sha).read_bytes()) == before
+                (registry.root / entry.card).read_bytes()) == before
         loaded, _, _ = registry.load(entry)
         np.testing.assert_array_equal(loaded.predict(x), net.predict(x))
         assert registry.card(entry) == json.loads(before[1])
@@ -150,7 +169,7 @@ class TestByteDeterminism:
             entry = register(registry, net, card=card)
             blobs.append((
                 registry.index_path.read_bytes(),
-                registry.card_path(entry.sha).read_bytes(),
+                (registry.root / entry.card).read_bytes(),
                 registry.artifact_path(entry.sha).read_bytes(),
             ))
         assert blobs[0] == blobs[1]

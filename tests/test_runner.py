@@ -1,6 +1,7 @@
 """Tests for the memoised simulation runner."""
 
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -108,3 +109,23 @@ class TestFingerprint:
         a = SimulationRunner("mcf", trace_length=2000, seed=0, cache_dir=tmp_path)
         b = SimulationRunner("mcf", trace_length=2000, seed=1, cache_dir=tmp_path)
         assert a._cache_path != b._cache_path
+
+
+def test_pool_workers_keep_the_default_sigterm_action():
+    # ``repro.cli.main`` installs a SIGTERM handler that forked workers
+    # would inherit; the pool initializer drops it.
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.experiments import runner
+
+    def terminate(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        with ProcessPoolExecutor(1, initializer=runner._worker_init,
+                                 initargs=("mcf", 64, 0)) as pool:
+            inherited = pool.submit(signal.getsignal, signal.SIGTERM).result()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert inherited == signal.SIG_DFL

@@ -13,14 +13,20 @@ budget and checks the deterministic shutdown the CI smoke job relies on.
 
 import asyncio
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from urllib.request import Request, urlopen
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
 from repro.cli import main
 from repro.models import registry as reg
@@ -30,6 +36,7 @@ from repro.obs.history.ledger import record_from_manifest
 from repro.obs.live import StreamingTraceSink
 from repro.serve import ModelService, ServingApp, run_server
 from repro.serve import app as app_module
+from repro.serve import http as http_module
 
 PINNED_NOW = "2026-08-08T00:00:00+00:00"
 DIM = 3
@@ -356,6 +363,34 @@ class TestHTTPServer:
         assert health[0] == 200
         assert app.requests_served == 1
 
+    def test_stalled_request_is_cut_off_at_the_read_deadline(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(http_module, "READ_TIMEOUT_S", 0.2)
+        app = make_app(tmp_path, max_requests=1)
+
+        async def scenario():
+            ready = asyncio.get_running_loop().create_future()
+            server = asyncio.ensure_future(
+                run_server(app, "127.0.0.1", 0, ready))
+            host, port = await asyncio.wait_for(ready, timeout=10)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"POST /pre")  # half a request line, then silence
+            await writer.drain()
+            try:
+                answer = await asyncio.wait_for(reader.read(), timeout=10)
+            except ConnectionResetError:
+                answer = b""
+            writer.close()
+            # The stalled client got nothing and spent no budget.
+            health = await self._request(host, port, "GET", "/healthz")
+            await asyncio.wait_for(server, timeout=10)
+            return answer, health
+
+        answer, health = asyncio.run(scenario())
+        assert answer == b""
+        assert health[0] == 200
+        assert app.requests_served == 1
+
 
 class TestServeCli:
     def test_session_leaves_trace_manifest_and_ledger_record(
@@ -399,6 +434,34 @@ class TestServeCli:
         assert record["command"] == "serve"
         assert record["latency_p50_ms"] > 0
         assert record["trace_path"] == str(trace)
+
+    def test_sigterm_stops_the_server_like_ctrl_c(self, tmp_path):
+        registry = make_app(tmp_path).registry.root
+        results = tmp_path / "results"
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+                   PYTHONUNBUFFERED="1", REPRO_RESULTS_DIR=str(results))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--registry", str(registry)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        try:
+            for line in proc.stdout:
+                if line.startswith("[listening on"):
+                    proc.send_signal(signal.SIGTERM)
+                    break
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        manifest = obs.read_manifest(results / "manifest.json")
+        assert manifest["command"] == "serve"
+        assert "error" not in manifest
+        assert manifest["requests_served"] == 0
 
 
 class TestAccessLogIntegration:

@@ -257,4 +257,5 @@ def test_stacks_exact_and_timeline_lawful(machine, trace_args):
     sim = Simulator(config)
     result = sim.run(trace, collect_timeline=True, collect_attribution=True)
     assert sum(result.stack.values()) == result.cycles
-    check_invariants(config, trace, sim.last_core.timeline)
+    check_invariants(config, trace, sim.last_core.timeline,
+                     sim.last_core.attribution.tags)
