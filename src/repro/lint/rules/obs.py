@@ -24,15 +24,17 @@ seam.
 
 OBS004 guards the serving event loop.  ``repro serve`` answers requests
 from a single asyncio loop: one ``time.sleep``, raw ``socket`` call or
-synchronous file read inside (or reachable from) an ``async def`` handler
-stalls *every* in-flight request, invisibly — the classic async
-foot-gun.  The rule walks the intra-file call graph of each module in
-the ``repro.serve`` package (scoped by dotted module name, like the seam
-table) from its ``async def`` roots and flags blocking calls anywhere
-reachable.  Blocking telemetry I/O belongs behind the synchronous
-:mod:`repro.obs.live` sinks (invoked through the application object,
-outside this file-local reachability) and model loading belongs in
-synchronous startup code.
+synchronous file read inside (or reachable from) an ``async def`` or a
+protocol callback stalls *every* in-flight request, invisibly — the
+classic async foot-gun.  The rule walks the intra-file call graph of
+each module in the ``repro.serve`` package (scoped by dotted module
+name, like the seam table) from its roots — every ``async def``, and
+the transport callbacks (``data_received`` and the rest) of classes
+derived from asyncio's protocol classes — and flags blocking calls
+anywhere reachable.  Blocking telemetry I/O belongs behind the
+synchronous :mod:`repro.obs.live` sinks (invoked through the application
+object, outside this file-local reachability) and model loading belongs
+in synchronous startup code.
 """
 
 from __future__ import annotations
@@ -285,10 +287,23 @@ _BLOCKING_FILE_METHODS = (
     "read_text", "write_text", "read_bytes", "write_bytes",
 )
 
+#: asyncio's protocol base classes, as ``asyncio`` exports them.
+_ASYNCIO_PROTOCOLS = frozenset({
+    "BaseProtocol", "Protocol", "BufferedProtocol", "DatagramProtocol",
+    "SubprocessProtocol",
+})
+
+#: The callbacks the event loop runs on a protocol: roots of the walk,
+#: like an ``async def``.
+_PROTOCOL_CALLBACKS = frozenset({
+    "connection_made", "data_received", "eof_received", "connection_lost",
+    "pause_writing", "resume_writing",
+})
+
 
 @register
 class NoBlockingInAsyncRule(VisitorRule):
-    """Forbid blocking calls reachable from ``repro.serve`` async code."""
+    """Forbid blocking calls reachable from ``repro.serve`` event-loop code."""
 
     id = "OBS004"
     title = "blocking call reachable from an async serving handler"
@@ -296,9 +311,10 @@ class NoBlockingInAsyncRule(VisitorRule):
         "repro serve answers every request from one asyncio event loop: "
         "a time.sleep, raw socket call, bare open() or synchronous "
         "Path read/write inside (or called, transitively, from) an "
-        "async def stalls all in-flight requests. Use asyncio "
-        "primitives, or hand the work to the synchronous repro.obs.live "
-        "sinks outside the handler's reachability."
+        "async def or an asyncio protocol callback stalls all in-flight "
+        "requests. Use asyncio primitives, or hand the work to the "
+        "synchronous repro.obs.live sinks outside the handler's "
+        "reachability."
     )
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
@@ -310,23 +326,54 @@ class NoBlockingInAsyncRule(VisitorRule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 functions.setdefault(node.name, node)
+        frontier = [fn for fn in ast.walk(ctx.tree)
+                    if isinstance(fn, ast.AsyncFunctionDef)]
+        frontier += self._protocol_callbacks(ctx)
         reachable: set = set()
-        frontier = [
-            name for name, fn in functions.items()
-            if isinstance(fn, ast.AsyncFunctionDef)
-        ]
         while frontier:
-            name = frontier.pop()
-            if name in reachable:
+            func = frontier.pop()
+            if func in reachable:
                 continue
-            reachable.add(name)
+            reachable.add(func)
             frontier.extend(
-                callee for callee in self._callees(functions[name])
+                functions[callee] for callee in self._callees(func)
                 if callee in functions
             )
-        for name in sorted(reachable):
-            self._scan(functions[name])
+        for func in sorted(reachable, key=lambda f: f.lineno):
+            self._scan(func)
         return self._findings
+
+    @staticmethod
+    def _protocol_callbacks(ctx: FileContext) -> List[ast.AST]:
+        """The transport callbacks of classes derived, here or through a
+        class of this file, from asyncio's protocol classes."""
+        names = dict(ctx.import_aliases)
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names.update((alias.asname or alias.name,
+                              f"{node.module}.{alias.name}")
+                             for alias in node.names)
+        protocols: set = set()
+        callbacks: List[ast.AST] = []
+        for cls in ast.walk(ctx.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for base in map(attribute_chain, cls.bases):
+                if base is None:
+                    continue
+                dotted = ".".join((names.get(base[0], base[0]),) + base[1:])
+                module, _, name = dotted.rpartition(".")
+                if dotted in protocols or (
+                        module in ("asyncio", "asyncio.protocols")
+                        and name in _ASYNCIO_PROTOCOLS):
+                    protocols.add(cls.name)
+                    callbacks.extend(
+                        fn for fn in cls.body
+                        if isinstance(fn, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                        and fn.name in _PROTOCOL_CALLBACKS)
+                    break
+        return callbacks
 
     @staticmethod
     def _callees(func: ast.AST) -> set:
@@ -363,26 +410,28 @@ class NoBlockingInAsyncRule(VisitorRule):
         if chain == ("time", "sleep"):
             self.report(
                 node,
-                "time.sleep() reachable from an async handler blocks the "
-                "whole event loop; await asyncio.sleep() instead",
+                "time.sleep() reachable from an event-loop handler blocks "
+                "the whole event loop; await asyncio.sleep() or schedule "
+                "with loop.call_later() instead",
             )
         elif len(chain) >= 2 and chain[0] == "socket":
             self.report(
                 node,
-                f"raw {'.'.join(chain)}() reachable from an async handler "
-                "blocks the event loop; use asyncio streams",
+                f"raw {'.'.join(chain)}() reachable from an event-loop "
+                "handler blocks the event loop; read and write through the "
+                "protocol's transport",
             )
         elif chain == ("open",):
             self.report(
                 node,
-                "synchronous open() reachable from an async handler "
+                "synchronous open() reachable from an event-loop handler "
                 "blocks the event loop; route file telemetry through the "
                 "repro.obs.live sinks",
             )
         elif len(chain) >= 2 and chain[-1] in _BLOCKING_FILE_METHODS:
             self.report(
                 node,
-                f"synchronous .{chain[-1]}() reachable from an async "
+                f"synchronous .{chain[-1]}() reachable from an event-loop "
                 "handler blocks the event loop; route file I/O through "
                 "the repro.obs.live sinks",
             )

@@ -21,8 +21,8 @@ A serving process needs the same telemetry *while it runs*:
   work mid-process.
 
 Everything here is the designated blocking-I/O seam for the serving
-layer: lint rule OBS004 forbids blocking calls in ``repro/serve`` async
-handlers precisely because this package owns them.
+layer: lint rule OBS004 forbids blocking calls in ``repro/serve``
+event-loop code precisely because this package owns them.
 """
 
 from repro.obs.live.access import AccessLog

@@ -17,7 +17,8 @@ a JSONL access log and a per-session ledger record.
 Endpoints: ``POST /predict``, ``GET /models``, ``GET /healthz``,
 ``GET /metrics``, ``GET /version``.
 
-Blocking I/O in async handlers is forbidden here by lint rule OBS004;
+Blocking I/O in event-loop code (``async def`` and protocol callbacks)
+is forbidden here by lint rule OBS004;
 file writes go through the :mod:`repro.obs.live` sinks, and model
 loading happens synchronously at startup.
 """

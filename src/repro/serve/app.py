@@ -265,14 +265,13 @@ class ServingApp:
                       points=len(points)):
             if want_provenance:
                 prov = service.model.predict_with_provenance(points)
-                payload["values"] = [float(v) for v in prov.values]
-                payload["lower"] = [float(v) for v in prov.lower]
-                payload["upper"] = [float(v) for v in prov.upper]
-                payload["extrapolated"] = [bool(f) for f in prov.extrapolated]
+                payload["values"] = prov.values.tolist()
+                payload["lower"] = prov.lower.tolist()
+                payload["upper"] = prov.upper.tolist()
+                payload["extrapolated"] = prov.extrapolated.tolist()
                 payload["kind"] = prov.kind
             else:
-                values = service.model.predict_batch(points)
-                payload["values"] = [float(v) for v in values]
+                payload["values"] = service.model.predict_batch(points).tolist()
         self._record("inc", "points_predicted", len(points))
         self._record("observe", "serve/batch_points", len(points))
         return 200, payload

@@ -1,35 +1,51 @@
 """Minimal asyncio HTTP/1.1 shell over :class:`~repro.serve.app.ServingApp`.
 
-Stdlib-only by design: :func:`asyncio.start_server` plus a small
-request parser covering exactly what the serving API needs — a request
-line, headers, an optional ``Content-Length`` body — answering every
-request with a JSON payload and ``Connection: close``.  All file
-telemetry (access log, streaming trace) lives behind the synchronous
-:mod:`repro.obs.live` sinks invoked from :meth:`ServingApp.handle`;
-the async handlers here never touch files, sockets or clocks directly
-(lint rule OBS004 enforces that).
+Stdlib-only by design: ``loop.create_server`` with one
+:class:`asyncio.Protocol` per connection, which parses the request as its
+bytes arrive — a request line, headers, an optional ``Content-Length``
+body — calls :meth:`ServingApp.handle` once, writes one JSON response
+with ``Connection: close`` and closes.  A connection costs no task,
+stream pair or awaited read.  All file telemetry (access log, streaming
+trace) lives behind the synchronous :mod:`repro.obs.live` sinks invoked
+from :meth:`ServingApp.handle`; the protocol callbacks here never touch
+files, sockets or clocks directly (lint rule OBS004 enforces that).
 
-Reading a request is bounded: a connection that has not sent
-its whole request within :data:`READ_TIMEOUT_S` is aborted.
+Every wait on a client is bounded.  A connection that has not sent its
+whole request within :data:`READ_TIMEOUT_S`, or has not taken its whole
+response within :data:`WRITE_TIMEOUT_S`, is aborted.  A request head
+over :data:`MAX_HEAD_BYTES` gets 400, and a connection beyond
+:data:`MAX_CONNECTIONS` open ones gets 503.  None of these reaches
+:meth:`ServingApp.handle` or spends request budget.
 
 Shutdown is deterministic: with ``max_requests`` set on the app, the
-server closes itself once the budget is spent — the hook the CI smoke
-job uses to run a real client against a real socket and still exit.
+server closes itself once the budget is spent and its open connections
+are done — the hook the CI smoke job uses to run a real client against
+a real socket and still exit.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.serve.app import ServingApp
 
 #: Largest accepted request body (covers a 100k-point batch with room).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Largest accepted request head: request line, headers and blank line.
+MAX_HEAD_BYTES = 64 * 1024
+
 #: Seconds a client has to send its whole request (line, headers, body).
 READ_TIMEOUT_S = 30.0
+
+#: Seconds a client has to take its whole response once it is written.
+WRITE_TIMEOUT_S = 30.0
+
+#: Connections served at once; one more is answered 503 and closed.
+#: Well under the common 1024 open-file limit.
+MAX_CONNECTIONS = 512
 
 _REASONS = {
     200: "OK",
@@ -57,74 +73,127 @@ def _render_response(status: int, payload: Dict[str, Any]) -> bytes:
     return head.encode("ascii") + body
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, Optional[bytes]]]:
-    """Parse one request; ``None`` for an empty connection.
+class _Connection(asyncio.Protocol):
+    """One connection: read one request, answer it once, close.
 
-    Raises ``ValueError`` for a malformed request the caller should
-    answer with 400, and returns ``None`` when the client connected and
-    sent nothing (just close the socket).
+    ``open_connections`` is the server's set of connections being
+    served; ``stop`` is set when the app's budget is spent and the last
+    of them is gone.
     """
-    request_line = await reader.readline()
-    if not request_line.strip():
-        return None
-    parts = request_line.decode("ascii", "replace").split()
-    if len(parts) < 2:
-        raise ValueError(f"malformed request line: {request_line!r}")
-    method, target = parts[0].upper(), parts[1]
-    content_length = 0
-    while True:
-        line = await reader.readline()
-        if not line.strip():
-            break
-        name, _, value = line.decode("ascii", "replace").partition(":")
-        if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                raise ValueError(f"bad Content-Length: {value.strip()!r}")
-    if content_length > MAX_BODY_BYTES:
-        raise ValueError(f"body of {content_length} bytes exceeds the "
-                         f"{MAX_BODY_BYTES}-byte limit")
-    body: Optional[bytes] = None
-    if content_length > 0:
-        body = await reader.readexactly(content_length)
-    return method, target, body
 
+    def __init__(self, app: ServingApp,
+                 open_connections: Set["_Connection"],
+                 stop: asyncio.Event) -> None:
+        self.app = app
+        self.open_connections = open_connections
+        self.stop = stop
+        self.transport: Optional[asyncio.Transport] = None
+        self.deadline: Optional[asyncio.TimerHandle] = None
+        self.buffer = bytearray()
+        self.scanned = 0  # bytes of ``buffer`` already split into head lines
+        self.request: Optional[Tuple[str, str]] = None  # method, target
+        self.length: Optional[int] = None  # Content-Length, once sent
+        self.body_start: Optional[int] = None  # set when the head ends
 
-async def _handle_client(
-    app: ServingApp,
-    stop: asyncio.Event,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    """Serve one connection: one request, one JSON response, close."""
-    # A timer, not a task: at the deadline it aborts the transport, which
-    # ends the pending read with EOF.
-    deadline = asyncio.get_running_loop().call_later(
-        READ_TIMEOUT_S, writer.transport.abort)
-    try:
-        try:
-            request = await _read_request(reader)
-        except (ValueError, asyncio.IncompleteReadError) as exc:
-            writer.write(_render_response(400, {"error": str(exc)}))
-            await writer.drain()
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        if len(self.open_connections) >= MAX_CONNECTIONS:
+            self._respond(503, {"error": f"{MAX_CONNECTIONS} connections "
+                                         "are open; retry later"})
             return
-        finally:
-            deadline.cancel()
-        if request is None or writer.transport.is_closing():
-            return  # nothing sent, or cut off at the deadline
-        method, target, body = request
-        status, payload = app.handle(method, target, body)
-        writer.write(_render_response(status, payload))
-        await writer.drain()
-    except (ConnectionError, BrokenPipeError):
-        pass  # client went away mid-response; nothing to answer
-    finally:
-        writer.close()
-        if app.done:
-            stop.set()
+        self.open_connections.add(self)
+        # A timer, not a task: at the deadline it aborts the transport.
+        self.deadline = asyncio.get_running_loop().call_later(
+            READ_TIMEOUT_S, transport.abort)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        try:
+            while self.body_start is None:
+                newline = self.buffer.find(b"\n", self.scanned, MAX_HEAD_BYTES)
+                if newline < 0:
+                    if len(self.buffer) >= MAX_HEAD_BYTES:
+                        raise ValueError(f"request head exceeds the "
+                                         f"{MAX_HEAD_BYTES}-byte limit")
+                    return
+                line = bytes(self.buffer[self.scanned:newline + 1])
+                self.scanned = newline + 1
+                if self.request is None:
+                    if not line.strip():
+                        self.transport.close()  # nothing asked; no answer
+                        return
+                    self.request = _request_line(line)
+                elif line.strip():
+                    self.length = _content_length(line, self.length)
+                else:  # the blank line that ends the head
+                    if (self.length or 0) > MAX_BODY_BYTES:
+                        raise ValueError(f"body of {self.length} bytes "
+                                         f"exceeds the {MAX_BODY_BYTES}-byte "
+                                         f"limit")
+                    self.body_start = self.scanned
+        except ValueError as exc:
+            self._respond(400, {"error": str(exc)})
+            return
+        end = self.body_start + (self.length or 0)
+        if len(self.buffer) < end:
+            return
+        body = (bytes(memoryview(self.buffer)[self.body_start:end])
+                if self.length else None)
+        self.buffer = bytearray()  # hold one copy of the body, not two
+        method, target = self.request
+        self._respond(*self.app.handle(method, target, body))
+
+    def eof_received(self) -> None:
+        """The client stopped sending before its request was complete."""
+        if self.request is None and not self.buffer.strip():
+            return  # an empty connection: the transport closes, no answer
+        if self.body_start is None:
+            error = "connection closed before the end of the request head"
+        else:
+            error = (f"{len(self.buffer) - self.body_start} bytes read on "
+                     f"a total of {self.length} expected bytes")
+        self._respond(400, {"error": error})
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.deadline is not None:
+            self.deadline.cancel()
+        self.open_connections.discard(self)
+        if self.app.done and not self.open_connections:
+            self.stop.set()
+
+    def _respond(self, status: int, payload: Dict[str, Any]) -> None:
+        """Write the one response; close once it is flushed, or abort at
+        the write deadline."""
+        if self.deadline is not None:
+            self.deadline.cancel()
+        self.transport.write(_render_response(status, payload))
+        if self.transport.get_write_buffer_size():
+            self.deadline = asyncio.get_running_loop().call_later(
+                WRITE_TIMEOUT_S, self.transport.abort)
+        self.transport.close()
+
+
+def _request_line(line: bytes) -> Tuple[str, str]:
+    """``(method, target)`` of a request line; ``ValueError`` if malformed."""
+    parts = line.decode("ascii", "replace").split()
+    if len(parts) < 2:
+        raise ValueError(f"malformed request line: {line!r}")
+    return parts[0].upper(), parts[1]
+
+
+def _content_length(line: bytes, seen: Optional[int]) -> Optional[int]:
+    """The body length after one header line: ``seen`` unless the line is
+    a ``Content-Length``, which must be digits and agree with ``seen``."""
+    name, _, value = line.decode("ascii", "replace").partition(":")
+    if name.strip().lower() != "content-length":
+        return seen
+    text = value.strip()
+    if not text.isdigit():  # ASCII only: the decode replaced the rest
+        raise ValueError(f"bad Content-Length: {text!r}")
+    if seen is not None and int(text) != seen:
+        raise ValueError(f"conflicting Content-Length values: {seen} and "
+                         f"{int(text)}")
+    return int(text)
 
 
 async def run_server(
@@ -141,13 +210,10 @@ async def run_server(
     runs until cancelled (the CLI maps Ctrl-C onto that).
     """
     stop = asyncio.Event()
-
-    async def client_connected(reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        await _handle_client(app, stop, reader, writer)
-
+    open_connections: Set[_Connection] = set()
     try:
-        server = await asyncio.start_server(client_connected, host, port)
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(app, open_connections, stop), host, port)
     except OSError as exc:
         if ready is not None and not ready.done():
             ready.set_exception(exc)

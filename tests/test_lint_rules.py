@@ -672,6 +672,48 @@ class TestOBS004:
             """, filename="repro/serve/app.py", select={"OBS004"})
         assert rule_ids(result) == ["OBS004"]
 
+    PROTOCOL = """\
+        import asyncio
+        import socket
+        import time
+
+        class Connection(asyncio.Protocol):
+            def data_received(self, data):
+                time.sleep(0.1)
+                self.reply(data)
+
+            def reply(self, data):
+                socket.create_connection(("host", 80)).sendall(data)
+
+        class Shell(Connection):
+            def eof_received(self):
+                time.sleep(0.1)
+        """
+
+    def test_protocol_callbacks_are_roots(self, tmp_path):
+        result = lint_source(tmp_path, self.PROTOCOL,
+                             filename="repro/serve/http.py",
+                             select={"OBS004"})
+        assert rule_ids(result) == ["OBS004"] * 3
+
+    def test_protocol_callbacks_outside_serve_are_not_constrained(
+            self, tmp_path):
+        result = lint_source(tmp_path, self.PROTOCOL,
+                             filename="repro/obs/live/relay.py",
+                             select={"OBS004"})
+        assert result.ok
+
+    def test_callbacks_of_other_protocols_are_not_roots(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import time
+            from typing import Protocol
+
+            class Sink(Protocol):
+                def data_received(self, data):
+                    time.sleep(0.1)
+            """, filename="repro/serve/http.py", select={"OBS004"})
+        assert result.ok
+
     def test_scope_follows_the_module_name(self, tmp_path):
         # Directories that are merely named repro/.../serve are not the
         # serving package; a module of the real package still is.

@@ -6,9 +6,10 @@ socket.  The pinned behaviours from the issue: batched ``/predict``
 bitwise-identical to sequential single-point ``Model.predict`` calls,
 ``/metrics`` latency quantiles deterministic under an injected clock,
 the per-session ledger record, hash-verified ``/healthz`` degradation,
-and tracing-off serving bitwise-unperturbed.  A final asyncio test runs
-the real HTTP server against a real socket with a ``max_requests``
-budget and checks the deterministic shutdown the CI smoke job relies on.
+and tracing-off serving bitwise-unperturbed.  The asyncio tests run the
+real HTTP server against real sockets: the ``max_requests`` budget
+shutdown the CI smoke job relies on, and the transport's own answers
+(400, 503, no answer, an aborted write) that never reach the app.
 """
 
 import asyncio
@@ -390,6 +391,155 @@ class TestHTTPServer:
         assert answer == b""
         assert health[0] == 200
         assert app.requests_served == 1
+
+
+class TestTransport:
+    """The connection protocol's own answers, over real sockets."""
+
+    @staticmethod
+    async def _read_all(sock):
+        """Everything the server sends until it closes (or resets)."""
+        loop = asyncio.get_running_loop()
+        chunks = []
+        while True:
+            try:
+                chunk = await asyncio.wait_for(
+                    loop.sock_recv(sock, 1 << 16), timeout=10)
+            except ConnectionResetError:
+                break  # Linux hands over queued bytes before the reset
+            if not chunk:
+                break
+            chunks.append(chunk)
+        return b"".join(chunks)
+
+    async def _exchange(self, address, pieces, eof=False):
+        """Send ``pieces`` one write each over a fresh connection, then
+        read the whole reply (``b""`` when none comes)."""
+        loop = asyncio.get_running_loop()
+        with socket.socket() as sock:
+            sock.setblocking(False)
+            await loop.sock_connect(sock, address)
+            for piece in pieces:
+                await loop.sock_sendall(sock, piece)
+                await asyncio.sleep(0.001)
+            if eof:
+                sock.shutdown(socket.SHUT_WR)
+            return await self._read_all(sock)
+
+    def _serve(self, app, scenario):
+        """Run ``scenario(address)``, then one /healthz that spends the
+        app's last request; returns what the scenario returned."""
+
+        async def main():
+            ready = asyncio.get_running_loop().create_future()
+            server = asyncio.ensure_future(
+                run_server(app, "127.0.0.1", 0, ready))
+            address = await asyncio.wait_for(ready, timeout=10)
+            result = await asyncio.wait_for(scenario(address), timeout=30)
+            health = await self._exchange(address, [
+                b"GET /healthz HTTP/1.1\r\n\r\n"])
+            assert health.startswith(b"HTTP/1.1 200 OK\r\n"), health
+            await asyncio.wait_for(server, timeout=10)
+            return result
+
+        return asyncio.run(main())
+
+    def test_request_written_one_byte_at_a_time(self, tmp_path):
+        app = make_app(tmp_path / "served", max_requests=2)
+        body = json.dumps({"points": [[0.25, 0.5, 0.75]] * 2}).encode()
+        data = (b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)) + body
+        reply = self._serve(app, lambda address: self._exchange(
+            address, [data[i:i + 1] for i in range(len(data))]))
+        reference = make_app(tmp_path / "reference")
+        assert reply == http_module._render_response(
+            *reference.handle("POST", "/predict", body))
+
+    @pytest.mark.parametrize("pieces,eof,error", [
+        ([b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"],
+         False, "request head exceeds the 65536-byte limit"),
+        ([b"POST /predict HTTP/1.1\r\nContent-Length: 10\r\n\r\n", b'{"po'],
+         True, "4 bytes read on a total of 10 expected bytes"),
+        ([b"POST /predict HTTP/1.1\r\nContent-Le"], True,
+         "connection closed before the end of the request head"),
+        ([b"GET /healthz HTTP/1.1\r\nContent-Length: -5\r\n\r\n"], False,
+         "bad Content-Length: '-5'"),
+        ([b"GET /healthz HTTP/1.1\r\nContent-Length: +0\r\n\r\n"], False,
+         "bad Content-Length: '+0'"),
+        ([b"POST /predict HTTP/1.1\r\nContent-Length: 3\r\n"
+          b"Content-Length: 18\r\n\r\n{\"points\": [0.5]}"], False,
+         "conflicting Content-Length values: 3 and 18"),
+    ], ids=["head-over-bound", "eof-in-body", "eof-in-head",
+            "negative-length", "non-digit-length", "conflicting-lengths"])
+    def test_bad_requests_get_400_without_reaching_the_app(
+            self, tmp_path, pieces, eof, error):
+        app = make_app(tmp_path, max_requests=1)
+        reply = self._serve(app, lambda address: self._exchange(
+            address, pieces, eof=eof))
+        assert reply == http_module._render_response(400, {"error": error})
+        assert app.requests_served == 1  # the closing /healthz alone
+
+    @pytest.mark.parametrize("pieces,eof", [
+        ([], True), ([b"\r\n"], False), ([b" \r"], True),
+    ], ids=["nothing", "blank-line", "whitespace-then-eof"])
+    def test_empty_connection_closes_without_an_answer(
+            self, tmp_path, pieces, eof):
+        app = make_app(tmp_path, max_requests=1)
+        reply = self._serve(app, lambda address: self._exchange(
+            address, pieces, eof=eof))
+        assert reply == b""
+        assert app.requests_served == 1
+
+    def test_connections_over_the_cap_get_503(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(http_module, "MAX_CONNECTIONS", 2)
+        app = make_app(tmp_path, max_requests=1)
+
+        async def scenario(address):
+            idle = [await asyncio.open_connection(*address) for _ in range(2)]
+            refused = await self._exchange(address, [])
+            for reader, writer in idle:
+                writer.write_eof()  # an empty connection: closed unanswered
+                assert await asyncio.wait_for(reader.read(), 10) == b""
+                writer.close()
+            return refused
+
+        refused = self._serve(app, scenario)
+        assert refused == http_module._render_response(
+            503, {"error": "2 connections are open; retry later"})
+        assert app.requests_served == 1
+
+    def test_unread_response_is_cut_off_at_the_write_deadline(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(http_module, "WRITE_TIMEOUT_S", 0.2)
+        app = make_app(tmp_path, max_requests=2)
+        # A 6.6 MB answer: more than the kernel's send buffer takes
+        # (tcp_wmem allows 4 MiB by default), so some of it must wait.
+        points = [[0.5] * DIM] * app_module.MAX_BATCH_POINTS
+        body = json.dumps({"points": points}).encode()
+        data = b"POST /predict HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(
+            body) + body
+
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+
+        async def scenario(address):
+            loop = asyncio.get_running_loop()
+            await loop.sock_connect(sock, address)
+            await loop.sock_sendall(sock, data)
+            while not app.requests_served:  # answered, and never read
+                await asyncio.sleep(0.01)
+
+        with sock:
+            # The /healthz that follows spends the budget; the server
+            # stops once the unread connection is gone too.
+            self._serve(app, scenario)
+            reply = asyncio.run(self._read_all(sock))
+        head, _, partial = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+        assert len(partial) < length
+        assert app.requests_served == 2
 
 
 class TestServeCli:
