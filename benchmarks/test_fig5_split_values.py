@@ -25,7 +25,7 @@ def test_fig5_split_values(result, benchmark):
     mcf = common.rbf_model("mcf", exp.SAMPLE_SIZE)
     tree = RegressionTree(mcf.unit_points, mcf.responses, p_min=1)
     space = common.training_space()
-    benchmark(lambda: split_value_distribution(tree, space))
+    benchmark(lambda: split_value_distribution(tree.splits(), space))
 
     emit("fig5_split_values", exp.render(result))
 

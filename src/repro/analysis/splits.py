@@ -10,10 +10,10 @@ histograms the parameter values at which mcf's tree splits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.core.design_space import DesignSpace
-from repro.models.tree import RegressionTree
+from repro.models.tree import RegressionTree, Split
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,17 @@ def significant_splits(
 
 
 def split_value_distribution(
-    tree: RegressionTree, space: DesignSpace
+    splits: Iterable[Split], space: DesignSpace
 ) -> Dict[str, List[float]]:
-    """All split boundary values per parameter, in physical units (Fig. 5).
+    """The boundary values of ``splits`` per parameter, in physical units
+    (Fig. 5); pass ``tree.splits()`` for all of a tree's splits.
 
     Parameters that never split are present with empty lists, so the
     distribution also shows which parameters the tree considers
     insignificant.
     """
     values: Dict[str, List[float]] = {p.name: [] for p in space.parameters}
-    for split in tree.splits():
+    for split in splits:
         param = space.parameters[split.dimension]
         values[param.name].append(
             _split_value_physical(space, split.dimension, split.value)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.validation import ErrorReport, prediction_errors
-from repro.models.rbf import RBFNetwork, gaussian_design_matrix
+from repro.models.rbf import RBFNetwork
 from repro.util.rng import make_rng
 
 #: Fits a model on (points, responses) and returns a predictor.
@@ -64,14 +64,13 @@ def loo_rbf_error(
     points: np.ndarray,
     responses: np.ndarray,
     network: RBFNetwork,
-    ridge: float = 1e-9,
 ) -> Tuple[ErrorReport, np.ndarray]:
     """Exact leave-one-out error for a fixed RBF basis.
 
     Holds the network's centers and radii fixed and treats the weight fit
-    as linear regression; the leave-one-out residual is then
-    ``e_i / (1 - H_ii)`` with the hat matrix
-    ``H = A (A^T A + ridge I)^{-1} A^T`` — no refit loop.
+    as linear regression, so the leave-one-out residuals come from the
+    hat-matrix identity in :meth:`RBFNetwork.loo_residuals` — no refit
+    loop.
 
     Returns the error report and the per-point LOO predictions.
     """
@@ -79,15 +78,6 @@ def loo_rbf_error(
     responses = np.asarray(responses, dtype=float).ravel()
     with obs.span("crossval/loo", points=len(points),
                   centers=network.num_centers):
-        a = gaussian_design_matrix(points, network.centers, network.radii)
-        gram = a.T @ a
-        gram[np.diag_indices_from(gram)] += ridge
-        inner = np.linalg.solve(gram, a.T)
-        hat_diag = np.einsum("ij,ji->i", a, inner)
-        weights = inner @ responses
-        resid = responses - a @ weights
-        denom = np.clip(1.0 - hat_diag, 1e-6, None)
-        loo_resid = resid / denom
-        loo_pred = responses - loo_resid
+        loo_pred = responses - network.loo_residuals(points, responses)
         obs.inc("crossval/loo_runs")
     return prediction_errors(responses, loo_pred), loo_pred

@@ -22,7 +22,7 @@ snapped coordinates actually simulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -96,7 +96,6 @@ class BuildRBFModel:
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID
     criterion: str = "aicc"
     max_candidates: int = 255
-    history: List[ModelBuildResult] = field(default_factory=list, repr=False)
 
     def sample_points(self, sample_size: int) -> OptimizedSample:
         """Step 2: the discrepancy-optimised LHS sample for this size."""
@@ -157,7 +156,6 @@ class BuildRBFModel:
                     vsp.set(mean_error=result.errors.mean,
                             max_error=result.errors.max)
                 bsp.set(mean_error=result.errors.mean)
-            self.history.append(result)
         return result
 
     def build_until(

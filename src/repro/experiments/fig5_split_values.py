@@ -38,25 +38,14 @@ class Fig5Result:
         return {name: len(vals) for name, vals in self.significant.items()}
 
 
-def _distribution_of(splits, space):
-    values: Dict[str, List[float]] = {p.name: [] for p in space.parameters}
-    from repro.analysis.splits import _split_value_physical
-
-    for split in splits:
-        param = space.parameters[split.dimension]
-        values[param.name].append(
-            _split_value_physical(space, split.dimension, split.value)
-        )
-    return values
-
-
 def run(benchmark: str = BENCHMARK, sample_size: int = SAMPLE_SIZE) -> Fig5Result:
     """Build the tree and collect its split-value distribution."""
     result = common.rbf_model(benchmark, sample_size)
     tree = RegressionTree(result.unit_points, result.responses, p_min=result.info.p_min)
     space = common.training_space()
-    distribution = split_value_distribution(tree, space)
-    significant = _distribution_of(tree.splits()[:SIGNIFICANT_SPLITS], space)
+    splits = tree.splits()
+    distribution = split_value_distribution(splits, space)
+    significant = split_value_distribution(splits[:SIGNIFICANT_SPLITS], space)
     return Fig5Result(
         benchmark=benchmark,
         distribution=distribution,

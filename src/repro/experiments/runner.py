@@ -286,7 +286,8 @@ class SimulationRunner:
     def result_at(self, point: Mapping[str, float]) -> Dict[str, float]:
         """Simulation summary at one physical design point (dict form).
 
-        The returned dict is a copy: mutating it cannot corrupt the memo
+        A miss is simulated and flushed as :meth:`metric` does it.  The
+        returned dict is a copy: mutating it cannot corrupt the memo
         cache (or the next flush).
         """
         resolved = self.space.resolve(dict(point))
@@ -296,12 +297,9 @@ class SimulationRunner:
         if cached is not None:
             self._count("cache_hits")
             return dict(cached)
-        trace = get_trace(self.benchmark, self.trace_length, self.seed).prepare()
-        summary = _summarize(Simulator(config).run(trace))
-        self._count("simulations_run")
-        self._cache[key] = summary
-        self._dirty += 1
-        return dict(summary)
+        self._simulate_batch({key: config.as_dict()})
+        self._flush()
+        return dict(self._cache[key])
 
     def _simulate_batch(self, configs: Dict[str, Dict[str, int]]) -> None:
         """Simulate the uncached configurations, fanning out when allowed."""

@@ -202,19 +202,15 @@ class RBFNetwork(Model):
             np.sqrt(z.sum(axis=2).min(axis=1), out=out[lo:lo + step])
         return out
 
-    def calibrate(self, points: np.ndarray,
-                  responses: np.ndarray) -> Uncertainty:
-        """Calibrate with exact leave-one-out residuals (hat-matrix form).
+    def loo_residuals(self, points: np.ndarray,
+                      responses: np.ndarray) -> np.ndarray:
+        """Exact leave-one-out residuals with centers and radii held fixed.
 
-        Holding centers and radii fixed, the weight fit is linear
-        regression, so the LOO residual is ``e_i / (1 - H_ii)`` with
-        ``H = A (A^T A + ridge I)^{-1} A^T`` — no refit loop.  (The same
-        identity as :func:`repro.core.crossval.loo_rbf_error`, restated
-        here because that module imports this one.)  LOO residuals lack
-        the training fit's optimism, so the q10–q90 band is honest on
-        unseen points.  Also records the training sample's worst scaled
-        center distance, the reference for the RBF-specific extrapolation
-        signal.
+        Holding the basis fixed, the weight fit is linear regression, so
+        the residual at ``x_i`` of a fit without it is ``e_i / (1 - H_ii)``
+        with ``H = A (A^T A + ridge I)^{-1} A^T`` — no refit loop.  Both
+        :meth:`calibrate` and :func:`repro.core.crossval.loo_rbf_error`
+        read their leave-one-out errors from here.
         """
         points = self._as_points(points, self.dimension)
         responses = np.asarray(responses, dtype=float).ravel()
@@ -225,7 +221,19 @@ class RBFNetwork(Model):
         hat_diag = np.einsum("ij,ji->i", a, inner)
         weights = inner @ responses
         resid = responses - a @ weights
-        loo_resid = resid / np.clip(1.0 - hat_diag, 1e-6, None)
+        return resid / np.clip(1.0 - hat_diag, 1e-6, None)
+
+    def calibrate(self, points: np.ndarray,
+                  responses: np.ndarray) -> Uncertainty:
+        """Calibrate with exact leave-one-out residuals (hat-matrix form).
+
+        LOO residuals (:meth:`loo_residuals`) lack the training fit's
+        optimism, so the q10–q90 band is honest on unseen points.  Also
+        records the training sample's worst scaled center distance, the
+        reference for the RBF-specific extrapolation signal.
+        """
+        points = self._as_points(points, self.dimension)
+        loo_resid = self.loo_residuals(points, responses)
         lower, upper, sigma, quantiles = _residual_band(loo_resid)
         hull_lo, hull_hi = training_hull(points)
         train_dist = self._scaled_center_distances(points)

@@ -11,8 +11,9 @@ from :meth:`ServingApp.handle`; the protocol callbacks here never touch
 files, sockets or clocks directly (lint rule OBS004 enforces that).
 
 Every wait on a client is bounded.  A connection that has not sent its
-whole request within :data:`READ_TIMEOUT_S`, or has not taken its whole
-response within :data:`WRITE_TIMEOUT_S`, is aborted.  A request head
+whole request within :data:`READ_TIMEOUT_S` is aborted; one that has not
+taken its whole response within :data:`WRITE_TIMEOUT_S` is reset, so the
+kernel keeps none of the response for it.  A request head
 over :data:`MAX_HEAD_BYTES` gets 400, and a connection beyond
 :data:`MAX_CONNECTIONS` open ones gets 503.  None of these reaches
 :meth:`ServingApp.handle` or spends request budget.
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import struct
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.serve.app import ServingApp
@@ -162,15 +165,23 @@ class _Connection(asyncio.Protocol):
             self.stop.set()
 
     def _respond(self, status: int, payload: Dict[str, Any]) -> None:
-        """Write the one response; close once it is flushed, or abort at
+        """Write the one response; close once it is flushed, or reset at
         the write deadline."""
         if self.deadline is not None:
             self.deadline.cancel()
         self.transport.write(_render_response(status, payload))
         if self.transport.get_write_buffer_size():
             self.deadline = asyncio.get_running_loop().call_later(
-                WRITE_TIMEOUT_S, self.transport.abort)
+                WRITE_TIMEOUT_S, self._reset)
         self.transport.close()
+
+    def _reset(self) -> None:
+        """Abort with a reset: a zero linger time makes the kernel drop
+        what it still holds of the response, instead of offering it to a
+        client that does not read."""
+        self.transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        self.transport.abort()
 
 
 def _request_line(line: bytes) -> Tuple[str, str]:

@@ -224,14 +224,11 @@ def make_direction_predictor(config: ProcessorConfig):
 
 
 class BranchUnit:
-    """Front-end branch prediction: direction + target, with statistics."""
+    """Front-end branch prediction: direction + target."""
 
     def __init__(self, config: ProcessorConfig):
         self.predictor = make_direction_predictor(config)
         self.btb = BTB(config.btb_entries)
-        self.conditional = 0
-        self.mispredicted = 0
-        self.btb_misses = 0
 
     def predict(self, pc: int, taken: bool, conditional: bool) -> int:
         """Predict and train on one control instruction.
@@ -244,19 +241,12 @@ class BranchUnit:
         """
         outcome = PREDICT_OK
         if conditional:
-            self.conditional += 1
             predicted = self.predictor.predict(pc)
             self.predictor.update(pc, taken)
             if predicted != taken:
                 outcome = PREDICT_MISPREDICT
-                self.mispredicted += 1
         if taken:
             if outcome == PREDICT_OK and not self.btb.lookup(pc):
                 outcome = PREDICT_BTB_MISS
-                self.btb_misses += 1
             self.btb.insert(pc)
         return outcome
-
-    @property
-    def mispredict_rate(self) -> float:
-        return self.mispredicted / self.conditional if self.conditional else 0.0

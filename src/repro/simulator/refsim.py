@@ -6,19 +6,23 @@ several design points.  This module plays that role: a second, independently
 written CPI model that shares no timing code with the detailed engine.
 
 It is a first-order bottleneck model in the spirit of Karkhanis & Smith
-(ISCA 2004): run the caches and branch predictor *functionally* over the
-trace to measure event rates, then compose CPI from a base (width- and
-window-limited) term plus miss-event penalty terms.  Being analytically
-different from the detailed engine, agreement on trend *direction* between
-the two is meaningful validation evidence.
+(ISCA 2004): run the caches *functionally* over the trace to measure event
+rates, then compose CPI from a base (width- and window-limited) term plus
+miss-event penalty terms.  Branch outcomes are a property of the trace and
+the predictor geometry, so they come from :meth:`Trace.branch_stream`, the
+same memoised predictor pass the detailed engine reads; no timing code is
+shared.  Being analytically different from the detailed engine, agreement
+on trend *direction* between the two is meaningful validation evidence.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.simulator import isa
-from repro.simulator.branch import PREDICT_MISPREDICT, BranchUnit
+from repro.simulator.branch import PREDICT_MISPREDICT
 from repro.simulator.cache import Cache
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.metrics import SimResult
@@ -26,7 +30,7 @@ from repro.simulator.trace import Trace
 
 
 class ReferenceSimulator:
-    """First-order CPI model with functional cache/predictor simulation."""
+    """First-order CPI model over functional caches and the branch stream."""
 
     def __init__(self, config: ProcessorConfig):
         self.config = config
@@ -39,18 +43,18 @@ class ReferenceSimulator:
         il1 = Cache(cfg.il1_size_kb, cfg.il1_line, cfg.il1_assoc, "il1")
         dl1 = Cache(cfg.dl1_size_kb, cfg.dl1_line, cfg.dl1_assoc, "dl1")
         l2 = Cache(cfg.l2_size_kb, cfg.l2_line, cfg.l2_assoc, "l2")
-        bru = BranchUnit(cfg)
+        ops, _, _, addrs, pcs, _ = trace.columns()
+        outcomes = trace.branch_stream(cfg)
 
-        mispredicts = 0
         il1_misses = 0
         dl1_misses = 0
         l2_misses = 0
-        dep_sum = 0
-        dep_count = 0
         last_line = -1
         line_bits = il1.line_bits
 
-        for op, s1, s2, addr, pc, taken in trace.rows():
+        # The fetch line and the three caches, in program order; a
+        # mispredict restarts the fetch line.
+        for op, addr, pc, outcome in zip(ops, addrs, pcs, outcomes):
             line = pc >> line_bits
             if line != last_line:
                 last_line = line
@@ -63,16 +67,14 @@ class ReferenceSimulator:
                     dl1_misses += 1
                     if not l2.access(addr):
                         l2_misses += 1
-            if op == isa.BRANCH or op == isa.JUMP:
-                if bru.predict(pc, taken, op == isa.BRANCH) == PREDICT_MISPREDICT:
-                    mispredicts += 1
-                    last_line = -1
-            if s1:
-                dep_sum += s1
-                dep_count += 1
-            if s2:
-                dep_sum += s2
-                dep_count += 1
+            if outcome == PREDICT_MISPREDICT:
+                last_line = -1
+
+        mispredicts = outcomes.count(PREDICT_MISPREDICT)
+        conditional = int(np.count_nonzero(trace.op == isa.BRANCH))
+        dep_sum = int(trace.src1.sum()) + int(trace.src2.sum())
+        dep_count = (int(np.count_nonzero(trace.src1))
+                     + int(np.count_nonzero(trace.src2)))
 
         # Base CPI: issue width bounds throughput; the instruction window
         # bounds extractable ILP following a sqrt law (Riseman/Foster-style
@@ -101,5 +103,6 @@ class ReferenceSimulator:
             il1_miss_rate=il1.miss_rate,
             dl1_miss_rate=dl1.miss_rate,
             l2_miss_rate=l2.miss_rate,
-            branch_mispredict_rate=bru.mispredict_rate,
+            branch_mispredict_rate=(mispredicts / conditional
+                                    if conditional else 0.0),
         )

@@ -14,7 +14,7 @@ the simulator is agnostic to their origin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -183,10 +183,6 @@ class Trace:
         if line_bits is not None:
             self.pc_lines(line_bits)
         return self
-
-    def rows(self) -> Iterator[Tuple[int, int, int, int, int, bool]]:
-        """Iterate (op, src1, src2, addr, pc, taken) tuples."""
-        return zip(*self.columns())
 
 
 def empty_trace(name: str = "empty") -> Trace:

@@ -70,7 +70,7 @@ class TestSplits:
         assert frac_split.value_label().endswith("*")
 
     def test_distribution_covers_all_parameters(self, space, rng):
-        dist = split_value_distribution(self._tree(rng), space)
+        dist = split_value_distribution(self._tree(rng).splits(), space)
         assert set(dist) == {"lat", "size_kb", "frac"}
         assert len(dist["lat"]) >= 1
 

@@ -129,14 +129,13 @@ class TestFlushDiscipline:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_interleaved_runners_union_on_flush(self, tmp_path):
-        # Two runners over the same cache file, flushing one after the
-        # other: the second flush must not drop the first runner's entry.
+        # Two runners over the same cache file, each flushing its own
+        # simulation one after the other: the second flush must not drop
+        # the first runner's entry.
         space = paper_design_space()
         a, b = make_runner(tmp_path), make_runner(tmp_path)
         a.result_at(point(l2_lat=12))
         b.result_at(point(l2_lat=18))
-        a._flush()
-        b._flush()
         merged = make_runner(tmp_path)
         assert len(merged._cache) == 2
         assert merged.cpi(np.vstack([
@@ -146,11 +145,18 @@ class TestFlushDiscipline:
 
 
 def _simulate_and_flush(args):
-    """Child-process worker: simulate one point and flush the shared cache."""
+    """Child-process worker: simulate one point and flush the shared cache.
+
+    ``result_at`` flushes its own simulation, so the flush is held back
+    while it runs: each process reaches the barrier with one unflushed
+    entry, and the two flushes race.
+    """
     cache_dir, l2_lat, barrier = args
     runner = SimulationRunner("mcf", trace_length=TRACE_LENGTH,
                               cache_dir=cache_dir)
+    runner._flush = lambda: None
     runner.result_at(point(l2_lat=l2_lat))
+    del runner._flush
     if barrier is not None:
         barrier.wait(timeout=60)  # line up the racy flushes
     runner._flush()

@@ -73,15 +73,15 @@ class TestLooRBF:
     def test_matches_explicit_refit(self, rng):
         # Cross-check the hat-matrix identity against brute-force holdout
         # refits of the weights on a tiny sample.
+        from repro.models.rbf import _RIDGE as ridge
         from repro.models.rbf import RBFNetwork, gaussian_design_matrix
 
         x = rng.random((12, 2))
         y = 1.0 + x[:, 0]
         centers = np.array([[0.25, 0.5], [0.75, 0.5]])
         radii = np.full((2, 2), 0.6)
-        ridge = 1e-9
         net = RBFNetwork(centers, radii, np.zeros(2))
-        _, loo_pred = loo_rbf_error(x, y, net, ridge=ridge)
+        _, loo_pred = loo_rbf_error(x, y, net)
         for i in range(len(x)):
             mask = np.arange(len(x)) != i
             a = gaussian_design_matrix(x[mask], centers, radii)

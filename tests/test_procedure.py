@@ -65,12 +65,6 @@ class TestBuild:
         assert result.errors is None  # no test set given
         assert result.info.num_centers >= 1
 
-    def test_history_accumulates(self, space, response):
-        builder = BuildRBFModel(space, response, seed=2, lhs_candidates=4)
-        builder.build(15)
-        builder.build(25)
-        assert [r.sample_size for r in builder.history] == [15, 25]
-
     def test_response_length_mismatch_detected(self, space):
         builder = BuildRBFModel(space, lambda pts: np.zeros(3), seed=0, lhs_candidates=2)
         with pytest.raises(ValueError):

@@ -44,6 +44,13 @@ class TestMemoisation:
         assert fresh.simulations_run == 0
         assert fresh.cache_hits == 1
 
+    def test_result_at_reaches_the_disk_cache(self, tmp_path, point):
+        summary = make_runner(tmp_path).result_at(point)
+        fresh = make_runner(tmp_path)
+        assert fresh.result_at(point) == summary
+        assert fresh.simulations_run == 0
+        assert fresh.cache_hits == 1
+
     def test_cache_file_is_json(self, tmp_path, point):
         runner = make_runner(tmp_path)
         space = paper_design_space()

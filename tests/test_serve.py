@@ -541,6 +541,41 @@ class TestTransport:
         assert len(partial) < length
         assert app.requests_served == 2
 
+    def test_unread_response_is_reset_at_the_write_deadline(
+            self, tmp_path, monkeypatch):
+        # A plain close would leave the kernel offering megabytes of the
+        # response to a client that never reads; a reset drops them.
+        monkeypatch.setattr(http_module, "WRITE_TIMEOUT_S", 0.2)
+        app = make_app(tmp_path, max_requests=2)
+        body = json.dumps({"points": [[0.5] * DIM]
+                           * app_module.MAX_BATCH_POINTS}).encode()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        received = []
+
+        async def scenario(address):
+            loop = asyncio.get_running_loop()
+            await loop.sock_connect(sock, address)
+            await loop.sock_sendall(sock, b"POST /predict HTTP/1.1\r\n"
+                                    b"Content-Length: %d\r\n\r\n%s"
+                                    % (len(body), body))
+            while not app.requests_served:
+                await asyncio.sleep(0.01)
+
+        async def read_until_closed():
+            loop = asyncio.get_running_loop()
+            while chunk := await asyncio.wait_for(
+                    loop.sock_recv(sock, 1 << 16), timeout=10):
+                received.append(chunk)
+
+        with sock:
+            self._serve(app, scenario)  # returns once the deadline passed
+            with pytest.raises(ConnectionResetError):
+                asyncio.run(read_until_closed())
+        assert b"".join(received).startswith(b"HTTP/1.1 200 OK\r\n")
+        assert sum(map(len, received)) < 64 * 1024
+
 
 class TestServeCli:
     def test_session_leaves_trace_manifest_and_ledger_record(

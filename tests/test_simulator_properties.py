@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.design_space import paper_design_space
 from repro.simulator import isa
-from repro.simulator.branch import BranchUnit
+from repro.simulator.branch import PREDICT_MISPREDICT, BranchUnit
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.simulator import Simulator, simulate, simulate_design_point
 from repro.workloads.generator import generate_trace
@@ -237,12 +237,15 @@ def test_branch_stream_is_an_independent_predictor_pass(machine, trace_args):
     # The reference: the predictor driven directly, in program order.
     unit = BranchUnit(config)
     expected = bytearray(len(trace))
+    conditional = mispredicted = 0
     counts = [(0, 0)]  # (conditional, mispredicted) after each instruction
     for i, (op, pc, taken) in enumerate(zip(trace.op.tolist(), trace.pc.tolist(),
                                             trace.taken.tolist())):
         if op in (isa.BRANCH, isa.JUMP):
             expected[i] = unit.predict(pc, taken, op == isa.BRANCH)
-        counts.append((unit.conditional, unit.mispredicted))
+            conditional += op == isa.BRANCH
+            mispredicted += expected[i] == PREDICT_MISPREDICT
+        counts.append((conditional, mispredicted))
     assert trace.branch_stream(config) == bytes(expected)
     (c0, m0), (c1, m1) = counts[len(trace) // 8], counts[-1]
     rate = (m1 - m0) / (c1 - c0) if c1 - c0 else 0.0

@@ -95,10 +95,9 @@ class TestCacheReadFailures:
     def test_read_error_at_flush_raises(self, tmp_path, seeded, monkeypatch):
         path, before = seeded
         runner = make_runner(tmp_path)
-        runner.result_at(point(30))  # one unflushed entry
         fail_reads_of(monkeypatch, path)
         with pytest.raises(OSError, match="injected read error"):
-            runner._flush()
+            runner.result_at(point(30))  # its flush re-reads the file
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert len(make_runner(tmp_path)._cache) == 3

@@ -88,12 +88,6 @@ class TestUtilities:
             np.testing.assert_array_equal(sliced, np.where(full > idx, 0, full))
         s.validate()
 
-    def test_rows_iteration(self):
-        rows = list(make_trace().rows())
-        assert len(rows) == 3
-        assert rows[1][0] == isa.LOAD
-        assert rows[1][3] == 0x1000
-
 
 class TestMemos:
     """The per-trace memos the core reads, and the freeze that guards them."""
