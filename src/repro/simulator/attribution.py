@@ -332,16 +332,13 @@ def emit_interval_events(
 # -- rendering ---------------------------------------------------------------
 
 
-def render_stack_table(
-    stacks: Mapping[str, CPIStack],
-    normalize: bool = False,
-    bar_width: int = 32,
-) -> str:
+def render_stack_table(stacks: Mapping[str, CPIStack], normalize: bool = False) -> str:
     """Plain-text CPI-stack table with per-component bars.
 
     One row per component, one column per labelled stack; each cell
     shows CPI contribution (or fraction with ``normalize=True``).  The
-    bar column visualises the first stack's breakdown.
+    bar column visualises the first stack's breakdown, 32 ``#`` for all
+    of it.
     """
     labels = list(stacks)
     if not labels:
@@ -357,7 +354,7 @@ def render_stack_table(
                 stack.fractions()[name] if normalize else stack.cpi_components()[name]
             )
             cells.append(f"{value:.4f}")
-        bar = "#" * int(round(first_fracs[name] * bar_width))
+        bar = "#" * int(round(first_fracs[name] * 32))
         rows.append([name] + cells + [bar])
     header = ["component"] + labels + [f"share[{labels[0]}]"]
     totals = ["total"] + [

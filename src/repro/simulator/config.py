@@ -88,12 +88,14 @@ class ProcessorConfig:
         positive = (
             "pipe_depth rob_size iq_size lsq_size l2_size_kb l2_lat "
             "il1_size_kb dl1_size_kb dl1_lat fetch_width commit_width "
-            "l2_capacity_scale "
+            "l2_capacity_scale tlb_entries "
             "num_ialu num_imult num_fp num_mem_ports"  # a pool needs a unit
         ).split()
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.tlb_walk_lat < 0:
+            raise ValueError("tlb_walk_lat must be non-negative")
         if self.iq_size > self.rob_size or self.lsq_size > self.rob_size:
             raise ValueError("IQ and LSQ cannot exceed the ROB size")
 

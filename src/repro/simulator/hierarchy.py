@@ -3,11 +3,13 @@
 Composes :class:`~repro.simulator.cache.Cache`,
 :class:`~repro.simulator.memctrl.MemoryController` and
 :class:`~repro.simulator.dram.DRAM` into the access paths the core needs:
-instruction fetch, data load and data store, plus the L1-miss entry
+instruction fetch (:meth:`MemoryHierarchy.fetch`), one data entry for
+loads and stores (:meth:`MemoryHierarchy.access`), and the L1-miss entry
 (:meth:`MemoryHierarchy.l1_miss`) that serves the core's own D-L1 probe on
-machines without the extensions below.  In-flight L2 line fills are tracked
-MSHR-style so that a second miss to a line already being fetched merges
-with the outstanding fill instead of issuing a duplicate memory request.
+machines without TLBs or writeback traffic.  In-flight L2 line fills are
+tracked MSHR-style so that a second miss to a line already being fetched
+merges with the outstanding fill instead of issuing a duplicate memory
+request.
 
 Substrate extensions (all disabled in the paper-reproduction machine, see
 :class:`~repro.simulator.config.ProcessorConfig`):
@@ -15,7 +17,10 @@ Substrate extensions (all disabled in the paper-reproduction machine, see
 * a next-line instruction prefetcher and a PC-indexed data stride
   prefetcher, whose prefetches run the real L2/memory path (consuming
   bandwidth and potentially polluting the L2);
-* instruction and data TLBs, adding page-walk latency on misses;
+* instruction and data TLBs, adding page-walk latency on misses: each is a
+  one-set :class:`~repro.simulator.cache.Cache` of ``tlb_entries`` ways
+  whose lines are 4 KB pages, so a miss evicts the least recently used
+  page;
 * dirty-line writeback traffic from the D-L1 and L2.
 """
 
@@ -29,7 +34,6 @@ from repro.simulator.config import ProcessorConfig
 from repro.simulator.dram import DRAM
 from repro.simulator.memctrl import MemoryController
 from repro.simulator.prefetch import NextLinePrefetcher, StridePrefetcher
-from repro.simulator.tlb import TLB
 
 #: In-flight fill table is pruned when it grows past this many lines.
 _INFLIGHT_LIMIT = 256
@@ -64,19 +68,18 @@ class MemoryHierarchy:
             StridePrefetcher(degree=config.prefetch_degree, line_size=config.dl1_line)
             if config.enable_stride_prefetch else None
         )
-        self.itlb: Optional[TLB] = (
-            TLB(config.tlb_entries, walk_latency=config.tlb_walk_lat)
-            if config.enable_tlb else None
-        )
-        self.dtlb: Optional[TLB] = (
-            TLB(config.tlb_entries, walk_latency=config.tlb_walk_lat)
-            if config.enable_tlb else None
-        )
+        # Each TLB is one set of ``tlb_entries`` ways of 4 KB pages.
+        self.itlb: Optional[Cache] = None
+        self.dtlb: Optional[Cache] = None
+        if config.enable_tlb:
+            entries = config.tlb_entries
+            self.itlb = Cache(4 * entries, 4096, entries, "itlb")
+            self.dtlb = Cache(4 * entries, 4096, entries, "dtlb")
         self.prefetch_fills = 0
         #: Level that serviced the most recent access routed through the
         #: L1D/L2 path ("dl1", "l2" or "dram").  Cycle attribution reads
-        #: it immediately after :meth:`load` or :meth:`l1_miss`; it is
-        #: only meaningful there.
+        #: it immediately after a load's :meth:`access` or :meth:`l1_miss`;
+        #: it is only meaningful there.
         self.last_level = "dl1"
 
     # -- internals ---------------------------------------------------------
@@ -110,9 +113,9 @@ class MemoryHierarchy:
 
         L2 lookup, then on an L2 miss an MSHR merge with an in-flight fill
         or a memory-controller/DRAM access; returns the data-ready time and
-        leaves the servicing level in :attr:`last_level`.  :meth:`fetch`,
-        :meth:`load` and :meth:`store` end here on a miss, and so does the
-        core's own D-L1 probe (see :mod:`repro.simulator.ooo_core`).
+        leaves the servicing level in :attr:`last_level`.  :meth:`fetch`
+        and :meth:`access` end here on a miss, and so does the core's own
+        D-L1 probe (see :mod:`repro.simulator.ooo_core`).
         """
         if self.l2.access(addr):
             self.last_level = "l2"
@@ -136,7 +139,7 @@ class MemoryHierarchy:
             # L2 victim goes to memory; commit-path traffic, non-blocking.
             self.memctrl.access(victim, time)
 
-    def _prefetch_into_l2(self, lines, time: float) -> None:
+    def prefetch(self, lines, time: float) -> None:
         """Issue prefetch requests down the L2 path (bandwidth-consuming)."""
         for line_addr in lines:
             if not self.l2.access(line_addr):
@@ -151,38 +154,28 @@ class MemoryHierarchy:
 
         An L1I hit costs nothing beyond the pipelined fetch stage itself.
         """
-        if self.itlb is not None:
-            time += self.itlb.access(pc)
+        if self.itlb is not None and not self.itlb.access(pc):
+            time += self.config.tlb_walk_lat
         if self.il1.access(pc):
             return time
         if self.nextline is not None:
-            self._prefetch_into_l2(self.nextline.on_miss(pc), time)
+            self.prefetch(self.nextline.on_miss(pc), time)
         return self.l1_miss(pc, time)
 
-    def load(self, addr: int, time: float, pc: int = 0) -> float:
-        """Data load issued at ``time``; returns data-ready time."""
-        if self.dtlb is not None:
-            time += self.dtlb.access(addr)
-        if self.stride is not None:
-            self._prefetch_into_l2(self.stride.on_access(pc, addr), time)
-        if self.dl1.access(addr):
-            self.last_level = "dl1"
-            return time + self.config.dl1_lat
-        self._drain_writeback(self.dl1, time)
-        return self.l1_miss(addr, time + self.config.dl1_lat)
+    def access(self, addr: int, time: float, pc: int = 0, write: bool = False) -> float:
+        """Data load, or store with ``write``, issued at ``time``.
 
-    def store(self, addr: int, time: float, pc: int = 0) -> float:
-        """Data store performed at ``time`` (post-commit, write-allocate).
-
-        Returns the time the line is owned; commit does not wait on it (a
-        store buffer is assumed), but misses consume L2/memory bandwidth and
-        so delay later loads.
+        Returns the data-ready time; for a store, the time its line is
+        owned.  Stores are performed after commit (write-allocate) and
+        commit does not wait on them (a store buffer is assumed), but their
+        misses consume L2/memory bandwidth and so delay later loads.
         """
-        if self.dtlb is not None:
-            time += self.dtlb.access(addr)
+        if self.dtlb is not None and not self.dtlb.access(addr):
+            time += self.config.tlb_walk_lat
         if self.stride is not None:
-            self._prefetch_into_l2(self.stride.on_access(pc, addr), time)
-        if self.dl1.access(addr, write=True):
+            self.prefetch(self.stride.on_access(pc, addr), time)
+        if self.dl1.access(addr, write):
+            self.last_level = "dl1"
             return time + self.config.dl1_lat
         self._drain_writeback(self.dl1, time)
         return self.l1_miss(addr, time + self.config.dl1_lat)

@@ -20,14 +20,18 @@ constraints:
 * **Commit**: in order, ``commit_width`` per cycle; stores update the data
   cache after commit.
 
-On a machine without TLBs, prefetchers or writeback traffic (every point
-of the paper's space) the loop probes the D-L1 set list itself, for each
-load that does not forward and each store after commit: true LRU exactly
-as :meth:`Cache.access <repro.simulator.cache.Cache.access>`, entering the
-hierarchy only on a miss, through :meth:`MemoryHierarchy.l1_miss`.  Any of
-those extensions routes loads and stores through
-:meth:`MemoryHierarchy.load`/``store`` instead; instruction fetch always
-goes through :meth:`MemoryHierarchy.fetch`.
+On a machine without TLBs or writeback traffic (every point of the
+paper's space, prefetching machines too) the loop probes the D-L1 set list
+itself, for each load that does not forward and each store after commit:
+true LRU exactly as :meth:`Cache.access <repro.simulator.cache.Cache.access>`,
+entering the hierarchy only on a miss, through
+:meth:`MemoryHierarchy.l1_miss`.  A stride prefetcher sees each such
+access's ``(pc, addr)`` first and sends its lines to the L2 at the access's
+time, through :meth:`MemoryHierarchy.prefetch`.  The probe models neither
+a page walk on every access nor dirty victims on every eviction, so a TLB
+or writeback routes loads and stores through :meth:`MemoryHierarchy.access`
+instead; instruction fetch always goes through
+:meth:`MemoryHierarchy.fetch`.
 
 Mispredicted branches redirect the front end when they *resolve*
 (completion), so the misprediction penalty scales with both pipeline depth
@@ -195,11 +199,11 @@ class OutOfOrderCore:
         load_op, store_op = isa.LOAD, isa.STORE
         # D-L1 probe state (see the module docstring); the counts fold into
         # the cache at the warmup boundary and at the end of the run.
-        probe_dl1 = not (cfg.enable_tlb or cfg.enable_nextline_prefetch
-                         or cfg.enable_stride_prefetch or cfg.writeback)
+        probe_dl1 = not (cfg.enable_tlb or cfg.writeback)
         dl1_sets, dl1_mask = hier.dl1.sets, hier.dl1.num_sets - 1
         dl1_assoc, dl1_bits = hier.dl1.assoc, hier.dl1.line_bits
         l1_miss = hier.l1_miss
+        stride = hier.stride
         dl1_acc = dl1_miss = 0
 
         complete = [0.0] * n
@@ -318,6 +322,8 @@ class OutOfOrderCore:
                     self.forwarded_loads += 1
                     exec_tag = TAG_STORE_FORWARD
                 elif probe_dl1:
+                    if stride is not None:
+                        hier.prefetch(stride.on_access(pc, addr), start)
                     dline = addr >> dl1_bits
                     ways = dl1_sets[dline & dl1_mask]
                     dl1_acc += 1
@@ -336,7 +342,7 @@ class OutOfOrderCore:
                         if collect_attribution:
                             exec_tag = level_tag[hier.last_level]
                 else:
-                    comp = hier.load(addr, start, pc)
+                    comp = hier.access(addr, start, pc)
                     if collect_attribution:
                         exec_tag = level_tag[hier.last_level]
             elif op == store_op:
@@ -404,6 +410,8 @@ class OutOfOrderCore:
                 mem_count += 1
             if op == store_op and not perfect_dcache:
                 if probe_dl1:
+                    if stride is not None:
+                        hier.prefetch(stride.on_access(pc, addr), c)
                     dline = addr >> dl1_bits
                     ways = dl1_sets[dline & dl1_mask]
                     dl1_acc += 1
@@ -418,7 +426,7 @@ class OutOfOrderCore:
                         ways.append(dline)
                         l1_miss(addr, c + dl1_lat)
                 else:
-                    hier.store(addr, c, pc)
+                    hier.access(addr, c, pc, write=True)
 
             if i + 1 == warmup:
                 self._add_dl1_counts(dl1_acc, dl1_miss)

@@ -177,15 +177,13 @@ class Trace:
             self._branch_streams[key] = stream
         return stream
 
-    def prepare(self, line_bits: Optional[int] = None) -> "Trace":
-        """Precompute the per-trace invariants used by the core; returns self."""
+    def prepare(self) -> "Trace":
+        """Decode the columns the core reads (see :meth:`columns`); returns self."""
         self.columns()
-        if line_bits is not None:
-            self.pc_lines(line_bits)
         return self
 
 
-def empty_trace(name: str = "empty") -> Trace:
+def empty_trace() -> Trace:
     """A zero-length trace (useful in tests)."""
     return Trace(
         op=np.zeros(0, dtype=np.int8),
@@ -194,5 +192,5 @@ def empty_trace(name: str = "empty") -> Trace:
         addr=np.zeros(0, dtype=np.int64),
         pc=np.zeros(0, dtype=np.int64),
         taken=np.zeros(0, dtype=bool),
-        name=name,
+        name="empty",
     )

@@ -9,6 +9,19 @@ from repro.simulator.simulator import simulate
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import PROFILES
 
+#: ``ProcessorConfig().key()``: every field name and default, sorted.
+DEFAULT_KEY = (
+    "bpred_entries=4096,bpred_history=10,bpred_kind=tournament,btb_entries=2048,"
+    "bus_cycles=8,commit_width=4,dl1_assoc=4,dl1_lat=2,dl1_line=64,dl1_size_kb=32,"
+    "dram_banks=8,dram_lat=120,dram_row_hit_lat=60,enable_nextline_prefetch=False,"
+    "enable_stride_prefetch=False,enable_tlb=False,fetch_width=4,il1_assoc=2,"
+    "il1_line=64,il1_size_kb=32,iq_size=32,l2_assoc=8,l2_capacity_scale=2,l2_lat=12,"
+    "l2_line=128,l2_size_kb=1024,lsq_size=32,mc_queue_depth=16,num_fp=2,num_ialu=4,"
+    "num_imult=1,num_mem_ports=2,perfect_branch_prediction=False,perfect_dcache=False,"
+    "perfect_icache=False,pipe_depth=12,prefetch_degree=2,rob_size=64,tlb_entries=64,"
+    "tlb_walk_lat=30,writeback=False"
+)
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -60,6 +73,12 @@ class TestConfig:
         c = ProcessorConfig(rob_size=65)
         assert a.key() == b.key()
         assert a.key() != c.key()
+
+    def test_default_key_pinned(self):
+        assert ProcessorConfig().key() == DEFAULT_KEY, (
+            "ProcessorConfig's fields or defaults changed: perfbench build_cold "
+            "pins a cpi_hash over {config.key(): cpi}, so it fails even when no "
+            "CPI moves; change the fields only with a re-based benchmark")
 
     def test_as_dict_round(self):
         d = ProcessorConfig().as_dict()

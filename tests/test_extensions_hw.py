@@ -8,7 +8,6 @@ from repro.simulator.config import ProcessorConfig
 from repro.simulator.hierarchy import MemoryHierarchy
 from repro.simulator.prefetch import NextLinePrefetcher, StridePrefetcher
 from repro.simulator.simulator import simulate
-from repro.simulator.tlb import TLB
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import PROFILES
 
@@ -64,32 +63,56 @@ class TestStridePrefetcher:
 
 
 class TestTLB:
+    """The ITLB and DTLB: one-set caches of 4 KB pages in the hierarchy."""
+
+    @staticmethod
+    def _hier():
+        return MemoryHierarchy(ProcessorConfig(enable_tlb=True, tlb_entries=2,
+                                               tlb_walk_lat=10))
+
     def test_miss_then_hit(self):
-        tlb = TLB(entries=4, walk_latency=30)
-        assert tlb.access(0x1000) == 30
-        assert tlb.access(0x1FFF) == 0  # same page
-        assert tlb.access(0x2000) == 30  # next page
+        h = self._hier()
+        lat = h.config.dl1_lat
+        # Both ends of page 1, then pages 2 and 3: page 1 leaves the DTLB.
+        for addr in (0x1000, 0x1FFF, 0x2000, 0x3000):
+            h.access(addr, 0.0)
+        assert h.dtlb.misses == 3
+        # The D-L1 still holds every line: a DTLB miss adds exactly the
+        # walk, and the far end of the same 4 KB page then adds nothing.
+        assert h.access(0x1000, 100.0) == 100.0 + 10 + lat
+        assert h.access(0x1FFF, 200.0) == 200.0 + lat
+        assert h.dtlb.misses == 4
+        # 0x2000 starts the next page, which page 1 evicted.
+        assert h.access(0x2000, 300.0) == 300.0 + 10 + lat
+        assert h.dtlb.misses == 5
 
     def test_lru_eviction(self):
-        tlb = TLB(entries=2, walk_latency=10)
-        tlb.access(0x1000)
-        tlb.access(0x2000)
-        tlb.access(0x1000)  # page 1 MRU
-        tlb.access(0x3000)  # evicts page 2
-        assert tlb.access(0x1000) == 0
-        assert tlb.access(0x2000) == 10
+        h = self._hier()
+        lat = h.config.dl1_lat
+        for addr in (0x1000, 0x2000, 0x1000, 0x3000):  # page 3 evicts page 2
+            h.access(addr, 0.0)
+        assert h.access(0x1000, 100.0) == 100.0 + lat
+        assert h.access(0x2000, 200.0) == 200.0 + 10 + lat
 
     def test_miss_rate(self):
-        tlb = TLB(entries=8)
-        tlb.access(0x1000)
-        tlb.access(0x1000)
-        assert tlb.miss_rate == pytest.approx(0.5)
+        h = self._hier()
+        h.access(0x1000, 0.0)
+        h.access(0x1008, 0.0)
+        for pc in (0x400000, 0x401000, 0x402000):  # page 0x400 leaves the ITLB
+            h.fetch(pc, 0.0)
+        assert h.fetch(0x400000, 50.0) == 50.0 + 10  # an I-L1 hit
+        assert h.fetch(0x400004, 90.0) == 90.0
+        h.fetch(0x400FFC, 120.0)  # the far end of the same 4 KB page
+        assert h.itlb.misses == 4
+        stats = h.stats()
+        assert stats["dtlb_miss_rate"] == pytest.approx(0.5)
+        assert stats["itlb_miss_rate"] == pytest.approx(4 / 6)
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            TLB(entries=0)
-        with pytest.raises(ValueError):
-            TLB(walk_latency=-1)
+        with pytest.raises(ValueError, match="tlb_entries"):
+            ProcessorConfig(tlb_entries=0)
+        with pytest.raises(ValueError, match="tlb_walk_lat"):
+            ProcessorConfig(tlb_walk_lat=-1)
 
 
 class TestWritebackCache:

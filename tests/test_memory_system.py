@@ -94,35 +94,35 @@ class TestHierarchy:
 
     def test_l1_hit_latency(self):
         h = self._hier(dl1_lat=3)
-        h.load(0x1000, 0.0)  # warm the line (miss)
-        t = h.load(0x1000, 100.0)
+        h.access(0x1000, 0.0)  # warm the line (miss)
+        t = h.access(0x1000, 100.0)
         assert t == 103.0
 
     def test_l2_hit_latency(self):
         h = self._hier(dl1_lat=2, l2_lat=10)
-        h.load(0x1000, 0.0)  # fills dl1 and l2
+        h.access(0x1000, 0.0)  # fills dl1 and l2
         # Evict from dl1 by sweeping its capacity; l2 keeps the line.
         cfg = h.config
         sweep_lines = (cfg.dl1_size_kb * 1024 // cfg.dl1_line) * 2
         base = 0x800000
         t = 1000.0
         for i in range(sweep_lines):
-            t = max(t, h.load(base + i * cfg.dl1_line, t))
-        done = h.load(0x1000, t + 10000.0)
+            t = max(t, h.access(base + i * cfg.dl1_line, t))
+        done = h.access(0x1000, t + 10000.0)
         assert done == pytest.approx(t + 10000.0 + 2 + 10)
 
     def test_memory_miss_latency_includes_device_and_bus(self):
         h = self._hier(dl1_lat=2, l2_lat=10)
-        done = h.load(0x1000, 0.0)
+        done = h.access(0x1000, 0.0)
         expected_min = 2 + 10 + h.config.dram_row_hit_lat + h.config.bus_cycles
         assert done >= expected_min
 
     def test_inflight_merge(self):
         h = self._hier()
-        t1 = h.load(0x4000, 0.0)
+        t1 = h.access(0x4000, 0.0)
         # A second miss to the same L2 line while the fill is in flight
         # merges with it rather than paying a second memory access.
-        t2 = h.load(0x4000 + 8, 1.0)
+        t2 = h.access(0x4000 + 8, 1.0)
         assert t2 <= t1
         assert h.memctrl.requests == 1
 
@@ -133,12 +133,12 @@ class TestHierarchy:
 
     def test_store_updates_cache(self):
         h = self._hier()
-        h.store(0x9000, 0.0)
+        h.access(0x9000, 0.0, write=True)
         assert h.dl1.probe(0x9000)
 
     def test_stats_keys(self):
         h = self._hier()
-        h.load(0x100, 0.0)
+        h.access(0x100, 0.0)
         stats = h.stats()
         for key in ("il1_miss_rate", "dl1_miss_rate", "l2_miss_rate",
                     "memory_requests", "mean_queue_delay", "dram_row_hit_rate"):

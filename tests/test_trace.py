@@ -119,8 +119,8 @@ class TestMemos:
 
     def test_prepare_returns_self(self):
         trace = make_trace()
-        assert trace.prepare(line_bits=6) is trace
-        assert trace._columns is not None and 6 in trace._pc_lines
+        assert trace.prepare() is trace
+        assert trace._columns is not None
 
     def test_branch_stream_memoised_per_predictor_geometry(self):
         trace = generate_trace(PROFILES["crafty"], 1024, seed=1)

@@ -18,11 +18,11 @@ class TestDl1Writebacks:
         h = wb_hierarchy()
         cfg = h.config
         # Dirty a line, then sweep the D-L1 to force its eviction.
-        h.store(0x1000, 0.0)
+        h.access(0x1000, 0.0, write=True)
         lines = cfg.dl1_size_kb * 1024 // cfg.dl1_line
         t = 10.0
         for i in range(2 * lines):
-            t = max(t, h.load(0x800000 + i * cfg.dl1_line, t))
+            t = max(t, h.access(0x800000 + i * cfg.dl1_line, t))
         assert h.dl1.writebacks >= 1
         # The victim line was written into the L2.
         assert h.l2.probe(0x1000)
@@ -30,11 +30,11 @@ class TestDl1Writebacks:
     def test_clean_lines_do_not_write_back(self):
         h = wb_hierarchy()
         cfg = h.config
-        h.load(0x1000, 0.0)  # clean fill
+        h.access(0x1000, 0.0)  # clean fill
         lines = cfg.dl1_size_kb * 1024 // cfg.dl1_line
         t = 10.0
         for i in range(2 * lines):
-            t = max(t, h.load(0x800000 + i * cfg.dl1_line, t))
+            t = max(t, h.access(0x800000 + i * cfg.dl1_line, t))
         # Sweeping loads are clean; only the sweep itself could dirty
         # nothing, so no writebacks from this pattern.
         assert h.dl1.writebacks == 0
@@ -47,11 +47,11 @@ class TestL2Writebacks:
         # Dirty many L2 lines via stores, then sweep far beyond L2 capacity.
         t = 0.0
         for i in range(64):
-            t = max(t, h.store(0x1000 + i * cfg.l2_line, t))
+            t = max(t, h.access(0x1000 + i * cfg.l2_line, t, write=True))
         requests_before = h.memctrl.requests
         effective_lines = h.l2.size_bytes // cfg.l2_line
         for i in range(3 * effective_lines):
-            t = max(t, h.load(0xA00000 + i * cfg.l2_line, t))
+            t = max(t, h.access(0xA00000 + i * cfg.l2_line, t))
         assert h.l2.writebacks >= 1
         # Writebacks issued memory requests beyond the demand fills.
         demand_fills = 3 * effective_lines + h.dl1.writebacks
@@ -61,6 +61,6 @@ class TestL2Writebacks:
 class TestDisabledPath:
     def test_no_tracking_when_disabled(self):
         h = MemoryHierarchy(ProcessorConfig())
-        h.store(0x1000, 0.0)
+        h.access(0x1000, 0.0, write=True)
         assert h.dl1.writebacks == 0
         assert not h.dl1.track_dirty
