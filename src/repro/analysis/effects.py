@@ -11,7 +11,7 @@ range their variation induces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -35,17 +35,16 @@ def main_effects(
     space: DesignSpace,
     num_levels: int = 7,
     background: int = 256,
-    seed: int = 0,
 ) -> Dict[str, MainEffect]:
     """Main effect of every parameter, marginalised over the others.
 
     For each parameter, the model is evaluated on ``background`` random
-    points with that parameter pinned at each of ``num_levels`` settings;
-    the mean response per setting is the main-effect curve.
+    points (seed 0) with that parameter pinned at each of ``num_levels``
+    settings; the mean response per setting is the main-effect curve.
     """
     if num_levels < 2:
         raise ValueError("need at least 2 levels")
-    rng = make_rng(seed, "main-effects", space.name)
+    rng = make_rng(0, "main-effects", space.name)
     base = rng.random((background, space.dimension))
     settings = np.linspace(0.0, 1.0, num_levels)
     effects: Dict[str, MainEffect] = {}
@@ -69,10 +68,7 @@ def rank_parameters(
     space: DesignSpace,
     num_levels: int = 7,
     background: int = 256,
-    seed: int = 0,
-    effects: Optional[Dict[str, MainEffect]] = None,
 ) -> List[MainEffect]:
     """Parameters sorted by main-effect magnitude, largest first."""
-    if effects is None:
-        effects = main_effects(model, space, num_levels, background, seed)
+    effects = main_effects(model, space, num_levels, background)
     return sorted(effects.values(), key=lambda e: -e.magnitude)

@@ -23,6 +23,9 @@ from repro.util.rng import make_rng
 #: (e.g. a power or area budget).
 Constraint = Callable[[Dict[str, float]], bool]
 
+#: Rounds of shrinking-radius jitter applied to the best candidates.
+_REFINE_STEPS = 64
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -38,15 +41,15 @@ def optimize_design(
     minimize: bool = True,
     candidates: int = 4096,
     refine_top: int = 16,
-    refine_steps: int = 64,
     seed: int = 0,
     constraint: Optional[Constraint] = None,
 ) -> List[Candidate]:
     """Search the space for extreme model responses.
 
-    A random global scan is followed by coordinate-jitter refinement of the
-    ``refine_top`` best candidates.  Returns the refined candidates sorted
-    best-first (ascending predicted response when minimising).
+    A random global scan is followed by :data:`_REFINE_STEPS` rounds of
+    coordinate-jitter refinement of the ``refine_top`` best candidates.
+    Returns the refined candidates sorted best-first (ascending predicted
+    response when minimising).
 
     Note the result optimises the *model*; the intended workflow is to
     verify the few winners with detailed simulation, which is still orders
@@ -75,8 +78,8 @@ def optimize_design(
     top = unit[order[:refine_top]].copy()
 
     # Coordinate-jitter refinement with a shrinking neighbourhood.
-    for step in range(refine_steps):
-        radius = 0.25 * (1.0 - step / refine_steps) + 0.01
+    for step in range(_REFINE_STEPS):
+        radius = 0.25 * (1.0 - step / _REFINE_STEPS) + 0.01
         jitter = rng.normal(scale=radius, size=top.shape)
         trial = np.clip(top + jitter, 0.0, 1.0)
         t_mask = feasible_mask(trial)

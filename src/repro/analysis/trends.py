@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.design_space import DesignSpace
+from repro.core.validation import trend_agreement
 from repro.models.base import Model
 
 
@@ -42,22 +43,12 @@ class TrendGrid:
         """Fraction of grid steps where prediction moves like simulation.
 
         Steps along both axes are counted; near-flat simulated steps
-        (< 0.5% relative change) count as agreement.
+        (< 0.5% relative change) count as agreement
+        (:func:`repro.core.validation.trend_agreement`).
         """
         if self.predicted is None:
             raise ValueError("grid has no predictions")
-        agree = 0
-        total = 0
-        for axis in (0, 1):
-            ds = np.diff(self.simulated, axis=axis)
-            dp = np.diff(self.predicted, axis=axis)
-            base = np.minimum(
-                self.simulated.take(range(ds.shape[axis]), axis=axis), 1e9
-            )
-            flat = np.abs(ds) < 0.005 * base
-            agree += int(np.sum((np.sign(ds) == np.sign(dp)) | flat))
-            total += ds.size
-        return agree / total if total else 1.0
+        return trend_agreement(self.simulated, self.predicted)
 
     def rows(self):
         """Iterate (y_value, x_value, simulated, predicted) rows for tables."""

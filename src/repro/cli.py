@@ -60,8 +60,8 @@ Commands
 ``serve``
     Serve registered models over HTTP (stdlib asyncio, no dependencies):
     ``POST /predict`` for single or batched CPI predictions with
-    uncertainty bands and extrapolation flags — batches go through the
-    vectorised ``predict_batch`` path, bitwise-identical to sequential
+    uncertainty bands and extrapolation flags — a batch goes through the
+    model's one vectorised ``predict``, bitwise-identical to sequential
     single-point calls — plus ``/models``, ``/healthz`` (content-hash
     re-verification), ``/metrics`` (windowed rates and latency
     quantiles) and ``/version``.  ``--trace`` streams a span per request

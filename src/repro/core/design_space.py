@@ -18,7 +18,6 @@ physical queue size is resolved only when a processor configuration is built
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -198,11 +197,11 @@ class DesignSpace:
         ]
         return np.column_stack(cols)
 
-    def contains(self, point: Dict[str, float], tol: float = 1e-9) -> bool:
-        """Whether a physical point lies within all parameter ranges."""
+    def contains(self, point: Dict[str, float]) -> bool:
+        """Whether a physical point lies within all parameter ranges (to 1e-9)."""
         for p in self.parameters:
             v = point[p.name]
-            if v < p.low - tol or v > p.high + tol:
+            if v < p.low - 1e-9 or v > p.high + 1e-9:
                 return False
         return True
 

@@ -1,8 +1,10 @@
-"""Model accuracy metrics (paper Sec. 3, last paragraph).
+"""Model accuracy metrics (paper Sec. 3, last paragraph, and Sec. 4.1).
 
 The paper scores models on an independent random test set using the *mean
 absolute percentage error* in CPI, its standard deviation, and the maximum
-error — the three columns of Table 3.
+error — the three columns of Table 3.  It also judges both its simulator
+(Sec. 3) and its models (Sec. 4.1, Figure 6) by whether they follow the
+*trends* of a reference: :func:`trend_agreement` is that one rule.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ class ErrorReport:
         return (round(self.mean, 1), round(self.max, 1), round(self.std, 1))
 
     def mean_ci(
-        self, confidence: float = 0.95, resamples: int = 2000, seed: int = 0
+        self, confidence: float = 0.95, seed: int = 0
     ) -> Optional[Tuple[float, float]]:
-        """Bootstrap confidence interval for the mean error.
+        """Bootstrap confidence interval for the mean error, from 2000 resamples.
 
         One of the paper's motivations is the "lack of statistical rigor"
         in ad-hoc exploration; the interval quantifies how much the
@@ -45,6 +47,7 @@ class ErrorReport:
             return None
         if not 0.0 < confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
+        resamples = 2000
         rng = make_rng(seed, "error-ci", self.count, resamples)
         errors = np.asarray(self.percentages)
         idx = rng.integers(0, len(errors), size=(resamples, len(errors)))
@@ -77,3 +80,24 @@ def prediction_errors(true_values: np.ndarray, predicted: np.ndarray) -> ErrorRe
         count=len(pct),
         percentages=tuple(float(v) for v in pct),
     )
+
+
+def trend_agreement(reference: np.ndarray, candidate: np.ndarray) -> float:
+    """Fraction of steps along every axis where ``candidate`` moves like ``reference``.
+
+    A step agrees when both series move the same way (equal signs of their
+    differences), or when the reference moves by less than 0.5% of its
+    value there — a flat response carries no directional information.
+    Works over a 1-D sweep or an n-D grid alike; a series with no steps
+    agrees fully.
+    """
+    reference = np.asarray(reference, dtype=float)
+    candidate = np.asarray(candidate, dtype=float)
+    agree = total = 0
+    for axis in range(reference.ndim):
+        dr = np.diff(reference, axis=axis)
+        dc = np.diff(candidate, axis=axis)
+        flat = np.abs(dr) < 0.005 * reference.take(range(dr.shape[axis]), axis=axis)
+        agree += int(np.sum((np.sign(dr) == np.sign(dc)) | flat))
+        total += dr.size
+    return agree / total if total else 1.0

@@ -11,14 +11,14 @@ Table 3 harness already built; simulation results are memoised on disk by
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.design_space import DesignSpace, paper_design_space, paper_test_space
 from repro.core.procedure import BuildRBFModel, ModelBuildResult
-from repro.experiments.runner import SimulationRunner, resolve_jobs
+from repro.experiments.runner import SimulationRunner
 from repro.models.linear import LinearInteractionModel
 from repro.sampling.random_design import random_design
 
@@ -79,18 +79,14 @@ def training_space() -> DesignSpace:
     return paper_design_space()
 
 
-def runner(benchmark: str, jobs: Optional[int] = None) -> SimulationRunner:
+def runner(benchmark: str) -> SimulationRunner:
     """The shared memoised simulation runner for ``benchmark``.
 
-    ``jobs`` sets the parallel fan-out of the runner's ``metric`` path
-    (``None`` defers to ``$REPRO_JOBS``, defaulting to serial).  Passing an
-    explicit value retunes an already-memoised runner, so a harness can
-    parallelise the grid mid-session without dropping the warm cache.
+    Its ``metric`` path fans out over ``$REPRO_JOBS`` worker processes
+    (serial when unset).
     """
     if benchmark not in _runners:
-        _runners[benchmark] = SimulationRunner(benchmark, jobs=jobs)
-    elif jobs is not None:
-        _runners[benchmark].jobs = resolve_jobs(jobs)
+        _runners[benchmark] = SimulationRunner(benchmark)
     return _runners[benchmark]
 
 

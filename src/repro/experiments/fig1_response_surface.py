@@ -43,12 +43,12 @@ class Fig1Result:
     interaction_ratio: float  # small-icache cost / large-icache cost
 
 
-def run(benchmark: str = BENCHMARK) -> Fig1Result:
+def run() -> Fig1Result:
     """Simulate the (il1_size, l2_lat) surface."""
     space = common.training_space()
     grid = interaction_grid(
         space,
-        common.runner(benchmark).cpi,
+        common.runner(BENCHMARK).cpi,
         BASE_POINT,
         param_x="l2_lat",
         x_values=L2_LATENCIES,

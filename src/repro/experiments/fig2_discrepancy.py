@@ -9,7 +9,7 @@ only marginally — the paper's guidance for choosing the simulation budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.experiments import common
 from repro.sampling.optimizer import discrepancy_curve, find_knee
@@ -25,11 +25,11 @@ class Fig2Result:
     knee: float
 
 
-def run(sizes: Sequence[int] = SIZES, candidates: int = 64) -> Fig2Result:
+def run() -> Fig2Result:
     """Compute the best-discrepancy-vs-size curve and its knee."""
     space = common.training_space()
     curve = discrepancy_curve(
-        space, list(sizes), seed=common.EXPERIMENT_SEED, candidates=candidates
+        space, list(SIZES), seed=common.EXPERIMENT_SEED, candidates=64
     )
     x = [s for s, _ in curve]
     y = [d for _, d in curve]

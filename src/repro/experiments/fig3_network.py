@@ -37,11 +37,11 @@ class Fig3Result:
         return self.network.num_centers
 
 
-def run(benchmark: str = BENCHMARK, sample_size: int = SAMPLE_SIZE) -> Fig3Result:
+def run() -> Fig3Result:
     """Fetch the trained network for the benchmark/size."""
-    result = common.rbf_model(benchmark, sample_size)
-    return Fig3Result(benchmark=benchmark, network=result.model,
-                      sample_size=sample_size)
+    result = common.rbf_model(BENCHMARK, SAMPLE_SIZE)
+    return Fig3Result(benchmark=BENCHMARK, network=result.model,
+                      sample_size=SAMPLE_SIZE)
 
 
 def render(result: Fig3Result) -> str:

@@ -9,13 +9,16 @@ the same region as the discrepancy-curve knee (Figure 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.validation import ErrorReport
 from repro.experiments import common
 from repro.util.tables import format_table
 
 BENCHMARKS = ("mcf", "twolf")
+
+#: Sample size where the error curve tapers (the region of Figure 2's knee).
+KNEE = 90
 
 
 @dataclass
@@ -24,15 +27,12 @@ class Fig4Result:
     series: Dict[str, List[Tuple[int, ErrorReport]]]
 
 
-def run(
-    benchmarks: Sequence[str] = BENCHMARKS,
-    sizes: Sequence[int] = common.SAMPLE_SIZES,
-) -> Fig4Result:
+def run() -> Fig4Result:
     """Build models at each size and collect error reports."""
     series: Dict[str, List[Tuple[int, ErrorReport]]] = {}
-    for benchmark in benchmarks:
+    for benchmark in BENCHMARKS:
         rows = []
-        for size in sizes:
+        for size in common.SAMPLE_SIZES:
             result = common.rbf_model(benchmark, size)
             assert result.errors is not None
             rows.append((size, result.errors))
@@ -40,15 +40,16 @@ def run(
     return Fig4Result(series=series)
 
 
-def tapering(result: Fig4Result, benchmark: str, knee: int = 90) -> Tuple[float, float]:
+def tapering(result: Fig4Result, benchmark: str) -> Tuple[float, float]:
     """(improvement per extra sample before the knee, after the knee).
 
     Quantifies the paper's taper claim: the pre-knee slope of the mean
-    error should be much steeper than the post-knee slope.
+    error should be much steeper than the post-knee slope, with the knee
+    at :data:`KNEE` samples.
     """
     rows = result.series[benchmark]
-    before = [(s, e.mean) for s, e in rows if s <= knee]
-    after = [(s, e.mean) for s, e in rows if s >= knee]
+    before = [(s, e.mean) for s, e in rows if s <= KNEE]
+    after = [(s, e.mean) for s, e in rows if s >= KNEE]
     def slope(pairs):
         if len(pairs) < 2:
             return 0.0

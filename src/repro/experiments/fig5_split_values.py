@@ -38,16 +38,16 @@ class Fig5Result:
         return {name: len(vals) for name, vals in self.significant.items()}
 
 
-def run(benchmark: str = BENCHMARK, sample_size: int = SAMPLE_SIZE) -> Fig5Result:
+def run() -> Fig5Result:
     """Build the tree and collect its split-value distribution."""
-    result = common.rbf_model(benchmark, sample_size)
+    result = common.rbf_model(BENCHMARK, SAMPLE_SIZE)
     tree = RegressionTree(result.unit_points, result.responses, p_min=result.info.p_min)
     space = common.training_space()
     splits = tree.splits()
     distribution = split_value_distribution(splits, space)
     significant = split_value_distribution(splits[:SIGNIFICANT_SPLITS], space)
     return Fig5Result(
-        benchmark=benchmark,
+        benchmark=BENCHMARK,
         distribution=distribution,
         significant=significant,
         total_splits=sum(len(v) for v in distribution.values()),

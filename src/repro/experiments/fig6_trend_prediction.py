@@ -27,13 +27,13 @@ class Fig6Result:
     max_trend_error: float
 
 
-def run(benchmark: str = BENCHMARK, sample_size: int = SAMPLE_SIZE) -> Fig6Result:
+def run() -> Fig6Result:
     """Predict and simulate the interaction grid."""
     space = common.training_space()
-    model = common.rbf_model(benchmark, sample_size).model
+    model = common.rbf_model(BENCHMARK, SAMPLE_SIZE).model
     grid = interaction_grid(
         space,
-        common.runner(benchmark).cpi,
+        common.runner(BENCHMARK).cpi,
         BASE_POINT,
         param_x="l2_lat",
         x_values=L2_LATENCIES,
@@ -42,7 +42,7 @@ def run(benchmark: str = BENCHMARK, sample_size: int = SAMPLE_SIZE) -> Fig6Resul
         model=model,
     )
     return Fig6Result(
-        benchmark=benchmark,
+        benchmark=BENCHMARK,
         grid=grid,
         monotonic_agreement=grid.monotonic_agreement(),
         max_trend_error=grid.max_trend_error(),

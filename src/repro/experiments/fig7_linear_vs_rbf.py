@@ -10,7 +10,7 @@ is 6.5% vs 2.1% for the RBF network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.design_space import paper_design_space
 from repro.core.validation import prediction_errors
@@ -35,18 +35,15 @@ class Fig7Result:
         return lin / rbf if rbf else float("inf")
 
 
-def run(
-    benchmarks: Sequence[str] = BENCHMARKS,
-    sizes: Sequence[int] = common.SAMPLE_SIZES,
-) -> Fig7Result:
+def run() -> Fig7Result:
     """Fit linear and RBF models at each size and score both."""
     space = paper_design_space()
     series: Dict[str, List[Tuple[int, float, float]]] = {}
-    for benchmark in benchmarks:
+    for benchmark in BENCHMARKS:
         phys, cpi = common.test_set(benchmark)
         unit_test = space.encode(phys)
         rows = []
-        for size in sizes:
+        for size in common.SAMPLE_SIZES:
             rbf_result = common.rbf_model(benchmark, size)
             assert rbf_result.errors is not None
             linear = common.linear_model(benchmark, size)

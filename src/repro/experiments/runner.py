@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.design_space import DesignSpace, paper_design_space
+from repro.core.design_space import paper_design_space
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.simulator import Simulator
 from repro.util import store
@@ -159,12 +159,12 @@ def simulate_configs(
     benchmark: str,
     configs: Sequence[ProcessorConfig],
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    seed: int = 0,
     jobs: Optional[int] = None,
 ) -> List[Dict[str, float]]:
     """Simulate explicit configurations for one benchmark, optionally in parallel.
 
-    Returns one summary dict per configuration, in input order.  ``jobs``
+    Returns one summary dict per configuration, in input order, on the
+    benchmark's seed-0 trace.  ``jobs``
     follows :func:`resolve_jobs`; with more than one worker and more than
     one configuration the simulations fan out over a process pool (the
     trace is built once per worker), which is bitwise-identical to the
@@ -176,20 +176,20 @@ def simulate_configs(
     tasks = [(index, config.as_dict()) for index, config in enumerate(configs)]
     with obs.span("simulate_configs", benchmark=benchmark,
                   configs=len(configs), jobs=jobs):
-        results = _fan_out(benchmark, trace_length, seed, tasks, jobs)
+        results = _fan_out(benchmark, trace_length, 0, tasks, jobs)
     return list(results.values())
 
 
 class SimulationRunner:
     """Memoised detailed simulation at physical design points.
 
+    Physical points follow the parameter order of the paper's Table 1
+    space (:attr:`space`).
+
     Parameters
     ----------
     benchmark:
         Workload name (see :func:`repro.workloads.benchmark_names`).
-    space:
-        Design space whose parameter order physical points follow
-        (defaults to the paper's Table 1 space).
     trace_length, seed:
         Trace construction parameters (part of the cache key).
     cache_dir:
@@ -207,14 +207,13 @@ class SimulationRunner:
     def __init__(
         self,
         benchmark: str,
-        space: Optional[DesignSpace] = None,
         trace_length: int = DEFAULT_TRACE_LENGTH,
         seed: int = 0,
         cache_dir: Optional[Path] = _UNSET,
         jobs: Optional[int] = None,
     ):
         self.benchmark = benchmark
-        self.space = space if space is not None else paper_design_space()
+        self.space = paper_design_space()
         self.trace_length = trace_length
         self.seed = seed
         self.jobs = resolve_jobs(jobs)

@@ -9,7 +9,7 @@ case, with the FP benchmarks (equake, ammp) showing the lowest maxima.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.core.validation import ErrorReport
 from repro.experiments import common
@@ -33,19 +33,14 @@ class Table3Result:
         return max(r.max for r in self.reports.values())
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    sample_size: int = SAMPLE_SIZE,
-) -> Table3Result:
+def run() -> Table3Result:
     """Build all eight models at the target size and collect errors."""
-    if benchmarks is None:
-        benchmarks = benchmark_names()
     reports = {}
-    for benchmark in benchmarks:
-        result = common.rbf_model(benchmark, sample_size)
+    for benchmark in benchmark_names():
+        result = common.rbf_model(benchmark, SAMPLE_SIZE)
         assert result.errors is not None
         reports[benchmark] = result.errors
-    return Table3Result(reports=reports, sample_size=sample_size)
+    return Table3Result(reports=reports, sample_size=SAMPLE_SIZE)
 
 
 def render(result: Table3Result) -> str:

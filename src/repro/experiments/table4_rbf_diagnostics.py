@@ -10,7 +10,7 @@ half the sample size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.experiments import common
 from repro.models.rbf import RBFBuildInfo
@@ -29,16 +29,13 @@ class Table4Result:
         return all(info.num_centers < size / 2 for size, info in self.rows)
 
 
-def run(
-    benchmark: str = BENCHMARK,
-    sizes: Sequence[int] = common.SAMPLE_SIZES,
-) -> Table4Result:
+def run() -> Table4Result:
     """Collect best (p_min, alpha, centers) per sample size."""
     rows = []
-    for size in sizes:
-        result = common.rbf_model(benchmark, size)
+    for size in common.SAMPLE_SIZES:
+        result = common.rbf_model(BENCHMARK, size)
         rows.append((size, result.info))
-    return Table4Result(benchmark=benchmark, rows=rows)
+    return Table4Result(benchmark=BENCHMARK, rows=rows)
 
 
 def render(result: Table4Result) -> str:

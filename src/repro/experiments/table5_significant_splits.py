@@ -11,7 +11,7 @@ program's bottlenecks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.analysis.splits import SignificantSplit, significant_splits
 from repro.experiments import common
@@ -50,21 +50,17 @@ class Table5Result:
         return len(paper & ours) / len(paper)
 
 
-def run(
-    benchmarks: Sequence[str] = BENCHMARKS,
-    sample_size: int = SAMPLE_SIZE,
-    num_splits: int = NUM_SPLITS,
-) -> Table5Result:
+def run() -> Table5Result:
     """Build trees and extract their earliest splits."""
     space = common.training_space()
     splits: Dict[str, List[SignificantSplit]] = {}
-    for benchmark in benchmarks:
-        result = common.rbf_model(benchmark, sample_size)
+    for benchmark in BENCHMARKS:
+        result = common.rbf_model(benchmark, SAMPLE_SIZE)
         tree = RegressionTree(
             result.unit_points, result.responses, p_min=result.info.p_min
         )
-        splits[benchmark] = significant_splits(tree, space, count=num_splits)
-    return Table5Result(splits=splits, sample_size=sample_size)
+        splits[benchmark] = significant_splits(tree, space, count=NUM_SPLITS)
+    return Table5Result(splits=splits, sample_size=SAMPLE_SIZE)
 
 
 def render(result: Table5Result) -> str:

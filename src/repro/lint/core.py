@@ -217,14 +217,12 @@ class Rule:
 
     # -- helpers ----------------------------------------------------------
 
-    def finding(self, path: str, node: Optional[ast.AST], message: str,
-                line: int = 1, col: int = 0) -> Finding:
-        """Build a :class:`Finding` for this rule at ``node`` (or line/col)."""
-        if node is not None:
-            line = getattr(node, "lineno", line)
-            col = getattr(node, "col_offset", col)
-        return Finding(rule=self.id, path=path, line=line, col=col,
-                       message=message)
+    def finding(self, path: str, node: Optional[ast.AST],
+                message: str) -> Finding:
+        """Build a :class:`Finding` for this rule at ``node`` (else line 1, col 0)."""
+        return Finding(rule=self.id, path=path,
+                       line=getattr(node, "lineno", 1),
+                       col=getattr(node, "col_offset", 0), message=message)
 
 
 class VisitorRule(Rule, ast.NodeVisitor):

@@ -22,10 +22,10 @@ class ChangedFilesError(RuntimeError):
     """Raised when the changed set cannot be determined from git."""
 
 
-def _git_lines(args: List[str], cwd: str) -> List[str]:
+def _git_lines(args: List[str]) -> List[str]:
     try:
         proc = subprocess.run(
-            ["git"] + args, cwd=cwd, capture_output=True, text=True,
+            ["git"] + args, capture_output=True, text=True,
             timeout=30, check=False,
         )
     except (OSError, subprocess.TimeoutExpired) as exc:
@@ -38,17 +38,18 @@ def _git_lines(args: List[str], cwd: str) -> List[str]:
     return [line for line in proc.stdout.splitlines() if line.strip()]
 
 
-def changed_files(ref: str = DEFAULT_REF, cwd: str = ".") -> List[str]:
+def changed_files(ref: str = DEFAULT_REF) -> List[str]:
     """Python files changed vs ``ref`` (merge-base diff + worktree state).
 
-    Returned paths are absolute: git reports names relative to the
-    repository root, which need not be the caller's working directory.
+    Git runs in the current working directory.  Returned paths are
+    absolute: git reports names relative to the repository root, which
+    need not be the working directory.
     """
-    root = _git_lines(["rev-parse", "--show-toplevel"], cwd)[0]
-    names = set(_git_lines(["diff", "--name-only", f"{ref}...HEAD"], cwd))
-    names.update(_git_lines(["diff", "--name-only", "HEAD"], cwd))
+    root = _git_lines(["rev-parse", "--show-toplevel"])[0]
+    names = set(_git_lines(["diff", "--name-only", f"{ref}...HEAD"]))
+    names.update(_git_lines(["diff", "--name-only", "HEAD"]))
     names.update(_git_lines(
-        ["ls-files", "--others", "--exclude-standard", "--full-name"], cwd))
+        ["ls-files", "--others", "--exclude-standard", "--full-name"]))
     out = []
     for name in sorted(names):
         if not name.endswith(".py"):

@@ -121,8 +121,8 @@ def design_dot(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     that a batched prediction is *bitwise-identical* to sequential
     single-point calls.  An elementwise product followed by a per-row
     pairwise sum reduces each row independently with an order fixed by the
-    row length alone, so every model family's :meth:`Model.predict` and
-    :meth:`Model.predict_batch` agree exactly for any batch size.
+    row length alone, so a row's :meth:`Model.predict` value has the same
+    bits whatever batch it travels in.
     """
     matrix = np.asarray(matrix, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -140,6 +140,14 @@ def layer_dot(activations: np.ndarray, weights: np.ndarray) -> np.ndarray:
     activations = np.asarray(activations, dtype=float)
     weights = np.asarray(weights, dtype=float)
     return (activations[:, :, None] * weights[None, :, :]).sum(axis=1)
+
+
+def least_squares(matrix: np.ndarray,
+                  y: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Least-squares coefficients of ``matrix @ beta ~ y`` and their SSE."""
+    beta, *_ = np.linalg.lstsq(matrix, y, rcond=None)
+    resid = y - matrix @ beta
+    return beta, float(resid @ resid)
 
 
 def _residual_band(residuals: np.ndarray) -> Tuple[float, float, float,
@@ -160,14 +168,13 @@ def _residual_band(residuals: np.ndarray) -> Tuple[float, float, float,
     return lower, upper, sigma, (q10, q50, q90)
 
 
-def training_hull(points: np.ndarray,
-                  margin: float = _HULL_MARGIN) -> Tuple[Tuple[float, ...],
-                                                         Tuple[float, ...]]:
-    """Margin-expanded axis-aligned bounding box of a training sample."""
+def training_hull(points: np.ndarray) -> Tuple[Tuple[float, ...],
+                                               Tuple[float, ...]]:
+    """Axis-aligned bounding box of a training sample, padded by :data:`_HULL_MARGIN`."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    pad = (hi - lo) * margin
+    pad = (hi - lo) * _HULL_MARGIN
     return tuple(float(v) for v in lo - pad), tuple(float(v) for v in hi + pad)
 
 
@@ -180,30 +187,13 @@ class Model(abc.ABC):
 
     @abc.abstractmethod
     def predict(self, points: np.ndarray) -> np.ndarray:
-        """Predict responses at ``(m, n)`` unit-cube points; returns ``(m,)``."""
+        """Predict responses at ``(m, n)`` unit-cube points; returns ``(m,)``.
 
-    def predict_batch(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised batch prediction: one design-matrix pass for all rows.
-
-        The serving layer's hot path: "CPI at these 10k points" must be one
-        matrix operation, not 10k :meth:`predict` calls.  The contract is
-        *bitwise equality* with the per-point loop — for every row ``i``,
-        ``predict_batch(points)[i] == predict(points[i:i+1])[0]`` exactly
-        (the serial≡parallel precedent from the cache and runner layers).
-
-        The default validates the shape and delegates to :meth:`predict`,
-        which is already internally vectorised for the linear, spline, MLP
-        and RBF families (column construction followed by one matvec whose
-        per-row dot products are order-identical for 1 and m rows).
-        :class:`~repro.models.tree.RegressionTree` overrides this with an
-        index-array descent replacing its per-point Python walk.
+        The one prediction path, for a single point and a 10k-point batch
+        alike: every family validates its points with :meth:`_as_points`,
+        and ``predict(points)[i] == predict(points[i:i+1])[0]`` exactly
+        (:func:`design_dot`, :func:`layer_dot`).
         """
-        dimension = getattr(self, "dimension", None)
-        if dimension is not None:
-            points = self._as_points(points, dimension)
-        else:
-            points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.predict(points)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.predict(points)
@@ -267,9 +257,8 @@ class Model(abc.ABC):
         Requires a prior :meth:`calibrate` (done automatically by
         ``repro build`` and persisted with registered artifacts); raises
         :class:`RuntimeError` otherwise rather than inventing a band.
-        The point predictions go through :meth:`predict_batch`, whose
-        bitwise-equality contract keeps them identical to :meth:`predict`
-        — provenance is computed *around* the prediction, never inside it.
+        The values are :meth:`predict`'s own — provenance is computed
+        *around* the prediction, never inside it.
         """
         unc = self._uncertainty
         if unc is None:
@@ -277,12 +266,8 @@ class Model(abc.ABC):
                 "model is not calibrated; call calibrate(points, responses) "
                 "or load a registered artifact carrying its calibration"
             )
-        dimension = getattr(self, "dimension", None)
-        if dimension is not None:
-            points = self._as_points(points, dimension)
-        else:
-            points = np.atleast_2d(np.asarray(points, dtype=float))
-        values = self.predict_batch(points)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        values = self.predict(points)
         return Provenance(
             values=values,
             lower=values + unc.lower_offset,

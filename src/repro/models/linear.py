@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.models.base import Model, design_dot
+from repro.models.base import Model, design_dot, least_squares
 from repro.models.selection import get_criterion
 
 
@@ -36,14 +36,13 @@ class Term:
         return "*".join(names[k] for k in self.dims)
 
 
-def candidate_terms(dimension: int, interactions: bool = True) -> List[Term]:
-    """Intercept + main effects (+ all two-factor interactions)."""
+def candidate_terms(dimension: int) -> List[Term]:
+    """Intercept + main effects + all two-factor interactions."""
     terms = [Term(())]
     terms.extend(Term((k,)) for k in range(dimension))
-    if interactions:
-        for k in range(dimension):
-            for l in range(k + 1, dimension):
-                terms.append(Term((k, l)))
+    for k in range(dimension):
+        for l in range(k + 1, dimension):
+            terms.append(Term((k, l)))
     return terms
 
 
@@ -57,12 +56,6 @@ def _columns(points: np.ndarray, terms: Sequence[Term]) -> np.ndarray:
             col = col * z[:, k]
         cols.append(col)
     return np.column_stack(cols)
-
-
-def _fit(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, float]:
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ beta
-    return beta, float(resid @ resid)
 
 
 class LinearInteractionModel(Model):
@@ -81,9 +74,9 @@ class LinearInteractionModel(Model):
         points: np.ndarray,
         responses: np.ndarray,
         criterion: str = "aic",
-        interactions: bool = True,
     ) -> "LinearInteractionModel":
-        """Fit with stepwise AIC variable selection.
+        """Fit with stepwise AIC variable selection over main effects and
+        all two-factor interactions (as the paper's baseline does).
 
         Parameters
         ----------
@@ -91,8 +84,6 @@ class LinearInteractionModel(Model):
             The sample (unit-cube coordinates and CPIs).
         criterion:
             Selection criterion name (the paper's baseline uses AIC).
-        interactions:
-            Include two-factor interaction candidates (True per the paper).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         responses = np.asarray(responses, dtype=float).ravel()
@@ -100,7 +91,7 @@ class LinearInteractionModel(Model):
             raise ValueError("points and responses must have equal length")
         crit_fn = get_criterion(criterion)
         p, n = points.shape
-        candidates = candidate_terms(n, interactions=interactions)
+        candidates = candidate_terms(n)
         full = _columns(points, candidates)
 
         def score(active: List[int]) -> float:
@@ -108,7 +99,7 @@ class LinearInteractionModel(Model):
                 return crit_fn(p, float(responses @ responses), 0)
             if len(active) >= p - 1:
                 return np.inf
-            _, sse = _fit(full[:, active], responses)
+            _, sse = least_squares(full[:, active], responses)
             return crit_fn(p, sse, len(active))
 
         # Seed: full model when the sample supports it, else intercept only.
@@ -144,7 +135,7 @@ class LinearInteractionModel(Model):
                 current = value
                 improved = True
 
-        beta, _ = _fit(full[:, active], responses)
+        beta, _ = least_squares(full[:, active], responses)
         return cls([candidates[i] for i in active], beta, dimension=n)
 
     def predict(self, points: np.ndarray) -> np.ndarray:

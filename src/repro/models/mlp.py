@@ -21,6 +21,10 @@ import numpy as np
 from repro.models.base import Model, layer_dot
 from repro.util.rng import make_rng
 
+#: Adam step size and L2 weight decay of every fit.
+_LEARNING_RATE = 0.01
+_WEIGHT_DECAY = 1e-4
+
 
 class MLPModel(Model):
     """Feed-forward tanh network trained with Adam."""
@@ -80,14 +84,13 @@ class MLPModel(Model):
         responses: np.ndarray,
         hidden: Tuple[int, ...] = (16,),
         epochs: int = 4000,
-        learning_rate: float = 0.01,
-        weight_decay: float = 1e-4,
         seed: int = 0,
     ) -> "MLPModel":
         """Train on a (small) design sample.
 
-        Full-batch Adam with weight decay; the target is standardised so
-        the learning rate is scale-free.  Training is deterministic given
+        Full-batch Adam (learning rate :data:`_LEARNING_RATE`) with weight
+        decay :data:`_WEIGHT_DECAY`; the target is standardised so the
+        learning rate is scale-free.  Training is deterministic given
         ``seed``.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -136,7 +139,7 @@ class MLPModel(Model):
             grads_w = [np.zeros_like(w) for w in weights]
             grads_b = [np.zeros_like(b) for b in biases]
             for i in range(last, -1, -1):
-                grads_w[i] = activations[i].T @ delta + weight_decay * weights[i]
+                grads_w[i] = activations[i].T @ delta + _WEIGHT_DECAY * weights[i]
                 grads_b[i] = delta.sum(axis=0)
                 if i > 0:
                     delta = (delta @ weights[i].T) * (1.0 - np.tanh(pre[i - 1]) ** 2)
@@ -147,12 +150,12 @@ class MLPModel(Model):
             for i in range(len(weights)):
                 m_w[i] = beta1 * m_w[i] + (1 - beta1) * grads_w[i]
                 v_w[i] = beta2 * v_w[i] + (1 - beta2) * grads_w[i] ** 2
-                weights[i] -= learning_rate * (m_w[i] / correct1) / (
+                weights[i] -= _LEARNING_RATE * (m_w[i] / correct1) / (
                     np.sqrt(v_w[i] / correct2) + eps
                 )
                 m_b[i] = beta1 * m_b[i] + (1 - beta1) * grads_b[i]
                 v_b[i] = beta2 * v_b[i] + (1 - beta2) * grads_b[i] ** 2
-                biases[i] -= learning_rate * (m_b[i] / correct1) / (
+                biases[i] -= _LEARNING_RATE * (m_b[i] / correct1) / (
                     np.sqrt(v_b[i] / correct2) + eps
                 )
 

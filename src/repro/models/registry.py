@@ -167,7 +167,6 @@ class ModelRegistry:
         self,
         benchmark: Optional[str] = None,
         family: Optional[str] = None,
-        sample_size: Optional[int] = None,
     ) -> List[RegistryEntry]:
         """All index entries in registration order, optionally filtered.
 
@@ -186,19 +185,12 @@ class ModelRegistry:
                 continue
             if family is not None and entry.family != family:
                 continue
-            if sample_size is not None and entry.sample_size != sample_size:
-                continue
             out.append(entry)
         return out
 
-    def latest(
-        self,
-        benchmark: Optional[str] = None,
-        family: Optional[str] = None,
-        sample_size: Optional[int] = None,
-    ) -> Optional[RegistryEntry]:
-        """The most recent matching entry, or ``None``."""
-        matches = self.entries(benchmark, family, sample_size)
+    def latest(self) -> Optional[RegistryEntry]:
+        """The most recent entry, or ``None`` when the registry is empty."""
+        matches = self.entries()
         return matches[-1] if matches else None
 
     def predecessor(self, entry: RegistryEntry) -> Optional[RegistryEntry]:
@@ -382,16 +374,16 @@ def baseline_document(
     benchmark: Optional[str] = None,
     sample_size: Optional[int] = None,
     seed: Optional[int] = None,
-    n: int = PROBE_POINTS,
-    probe_seed: int = PROBE_SEED,
 ) -> Dict[str, Any]:
     """A committed drift baseline: probe predictions plus identity.
 
     CI refits the model from scratch and compares its probe predictions
     against this document with :func:`drift_report` — catching silent fit
     degradation without needing the original artifact in the repository.
+    The document records its probe (:data:`PROBE_POINTS` points drawn with
+    :data:`PROBE_SEED`), which :func:`check_against_baseline` replays.
     """
-    predictions = probe_predictions(model, n=n, seed=probe_seed)
+    predictions = probe_predictions(model, n=PROBE_POINTS, seed=PROBE_SEED)
     return {
         "schema": BASELINE_SCHEMA_VERSION,
         "family": model_family(model),
@@ -399,7 +391,7 @@ def baseline_document(
         "sample_size": sample_size,
         "seed": seed,
         "sha": content_hash(model),
-        "probe": {"n": n, "seed": probe_seed,
+        "probe": {"n": PROBE_POINTS, "seed": PROBE_SEED,
                   "dimension": int(getattr(model, "dimension"))},
         "predictions": [float(v) for v in predictions],
     }

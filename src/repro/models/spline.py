@@ -23,8 +23,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.models.base import Model, design_dot
+from repro.models.base import Model, design_dot, least_squares
 from repro.models.selection import get_criterion
+
+#: Candidate knots per dimension in the forward pass.
+_KNOTS_PER_DIM = 7
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,6 @@ class SplineTerm:
         if not self.hinges:
             return "1"
         return "*".join(h.label() for h in self.hinges)
-
-
-def _fit(matrix: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, float]:
-    beta, *_ = np.linalg.lstsq(matrix, y, rcond=None)
-    resid = y - matrix @ beta
-    return beta, float(resid @ resid)
 
 
 class SplineModel(Model):
@@ -124,10 +121,11 @@ class SplineModel(Model):
         responses: np.ndarray,
         max_terms: int = 30,
         max_degree: int = 2,
-        knots_per_dim: int = 7,
-        criterion: str = "aicc",
     ) -> "SplineModel":
         """Greedy forward selection of hinge terms, AICc backward pruning.
+
+        Candidate knots sit at :data:`_KNOTS_PER_DIM` interior quantiles of
+        each dimension.
 
         Parameters
         ----------
@@ -139,25 +137,21 @@ class SplineModel(Model):
         max_degree:
             Maximum hinges per term (2 = two-factor interaction splines,
             as in Lee & Brooks).
-        knots_per_dim:
-            Candidate knots per dimension (interior quantiles of the data).
-        criterion:
-            Selection criterion for the pruning pass.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         responses = np.asarray(responses, dtype=float).ravel()
         if len(points) != len(responses):
             raise ValueError("points and responses must have equal length")
         p, n = points.shape
-        crit_fn = get_criterion(criterion)
+        crit_fn = get_criterion("aicc")
 
         # Candidate knots at interior quantiles of each dimension.
-        qs = np.linspace(0.1, 0.9, knots_per_dim)
+        qs = np.linspace(0.1, 0.9, _KNOTS_PER_DIM)
         knots = [np.unique(np.quantile(points[:, k], qs)) for k in range(n)]
 
         terms: List[SplineTerm] = [SplineTerm(())]
         matrix = np.ones((p, 1))
-        _, best_sse = _fit(matrix, responses)
+        _, best_sse = least_squares(matrix, responses)
 
         # Forward pass: repeatedly add the best hinge pair.  Candidate
         # parents are existing terms (MARS grows interactions by
@@ -183,7 +177,7 @@ class SplineModel(Model):
                         trial = np.column_stack([matrix] + cols)
                         if trial.shape[1] >= p - 1:
                             continue
-                        _, sse = _fit(trial, responses)
+                        _, sse = least_squares(trial, responses)
                         if sse < best_add_sse * (1 - 1e-9):
                             best_add_sse = sse
                             best_add = pair
@@ -197,7 +191,7 @@ class SplineModel(Model):
 
         # Backward pruning under the criterion.
         def score(active: List[int]) -> float:
-            _, sse = _fit(matrix[:, active], responses)
+            _, sse = least_squares(matrix[:, active], responses)
             return crit_fn(p, sse, len(active))
 
         active = list(range(len(terms)))
@@ -216,5 +210,5 @@ class SplineModel(Model):
             if best_drop is not None:
                 active = [a for a in active if a != best_drop]
 
-        beta, _ = _fit(matrix[:, active], responses)
+        beta, _ = least_squares(matrix[:, active], responses)
         return cls([terms[i] for i in active], beta, dimension=n)

@@ -228,29 +228,13 @@ class RegressionTree(Model):
         return [n for n in self.nodes_breadth_first() if n.is_leaf]
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        """Piecewise-constant prediction: the mean of the matching leaf."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(len(points))
-        for i, x in enumerate(points):
-            node = self.root
-            while not node.is_leaf:
-                assert node.split is not None
-                if x[node.split.dimension] <= node.split.value:
-                    node = node.left
-                else:
-                    node = node.right
-            out[i] = node.mean
-        return out
+        """Piecewise-constant prediction: the mean of each point's leaf.
 
-    def predict_batch(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised piecewise-constant prediction via index-array descent.
-
-        Instead of walking the tree once per point, every internal node
-        partitions the index array of the points that reached it with one
-        boolean mask, and each leaf assigns its mean to its whole cohort at
-        once — O(points x depth) ndarray work instead of a Python loop.
-        Leaf means are *assigned*, never combined, so the result is
-        bitwise-identical to the per-point :meth:`predict` walk.
+        One index-array descent for the whole batch: every internal node
+        partitions the indices of the points that reached it with one
+        boolean mask (``x[k] <= b`` goes left), and each leaf assigns its
+        mean to its whole cohort at once.  Leaf means are *assigned*, never
+        combined, so a point gets the same bits alone or in any batch.
         """
         points = self._as_points(points, self.dimension)
         out = np.empty(len(points))

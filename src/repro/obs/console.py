@@ -10,10 +10,8 @@ not the implementation.
 from __future__ import annotations
 
 import sys
-from typing import IO, Optional
 
 
-def echo(text: str = "", stream: Optional[IO[str]] = None) -> None:
-    """Write one line of human-facing output (stdout by default)."""
-    out = stream if stream is not None else sys.stdout
-    out.write(str(text) + "\n")
+def echo(text: str = "") -> None:
+    """Write one line of human-facing output to stdout."""
+    sys.stdout.write(str(text) + "\n")

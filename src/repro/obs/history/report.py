@@ -143,10 +143,10 @@ def _esc(value: Any) -> str:
     return _html.escape(str(value), quote=True)
 
 
-def _num(value: Any, fmt: str = "{:.4g}", missing: str = "–") -> str:
-    """Format a possibly-missing number for a table cell."""
+def _num(value: Any, fmt: str = "{:.4g}") -> str:
+    """Format a possibly-missing number for a table cell (``–`` when missing)."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return missing
+        return "–"
     return fmt.format(value)
 
 
@@ -576,10 +576,13 @@ def _serve_section(runs: Sequence[Mapping[str, Any]]) -> str:
     return f"{chart}<table>{head}{''.join(rows)}</table>{omitted}"
 
 
+#: The report's page title and heading.
+_TITLE = "repro — run history report"
+
+
 def render_html(
     runs: Sequence[Mapping[str, Any]],
     trace: Optional[TraceData] = None,
-    title: str = "repro — run history report",
 ) -> str:
     """Render the full report; deterministic for a fixed ledger + trace."""
     runs = list(runs)
@@ -600,9 +603,9 @@ def render_html(
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en"><head><meta charset="utf-8">'
-        f"<title>{_esc(title)}</title>"
+        f"<title>{_esc(_TITLE)}</title>"
         f"<style>{_CSS}</style></head><body>"
-        f"<h1>{_esc(title)}</h1>"
+        f"<h1>{_esc(_TITLE)}</h1>"
         f'<p class="meta">{_esc(" · ".join(meta_bits))}</p>'
         f"{_status_strip(runs, anomalies)}"
         f"{_tiles(runs)}"

@@ -106,14 +106,14 @@ def comparable_history(
 
 def check_latest(
     runs: Sequence[Mapping[str, Any]],
-    fields: Sequence[str] = CHECK_FIELDS,
     threshold: float = DEFAULT_THRESHOLD,
     min_history: int = MIN_HISTORY,
 ) -> List[str]:
     """Anomaly descriptions for the newest run (empty list = healthy).
 
-    For each field the latest run carries, its value is scored against the
-    same field across comparable prior runs (same command and benchmark).
+    For each of :data:`CHECK_FIELDS` the latest run carries, its value is
+    scored against the same field across comparable prior runs (same
+    command and benchmark).
     Only *regressions* flag — a run that got faster or more accurate is
     never anomalous — and only once ``min_history`` comparable readings
     exist, so a young ledger passes trivially instead of crying wolf.
@@ -123,7 +123,7 @@ def check_latest(
     latest = runs[-1]
     prior = comparable_history(runs, latest)
     anomalies: List[str] = []
-    for field in fields:
+    for field in CHECK_FIELDS:
         value = latest.get(field)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             continue

@@ -178,9 +178,9 @@ class MetricsRegistry:
         """Current value of counter ``name`` (0.0 when never incremented)."""
         return self.counters.get(name, 0.0)
 
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        """Current value of gauge ``name`` (``default`` when never set)."""
-        return self.gauges.get(name, default)
+    def gauge(self, name: str) -> float:
+        """Current value of gauge ``name`` (0.0 when never set)."""
+        return self.gauges.get(name, 0.0)
 
     def histogram(self, name: str) -> Histogram:
         """Histogram ``name`` (an empty one when never observed)."""

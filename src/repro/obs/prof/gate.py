@@ -41,10 +41,9 @@ BENCH_SCHEMA_VERSION = 1
 DEFAULT_BASELINE_PATH = Path("benchmarks") / "perf" / "baseline.json"
 
 
-def bench_run_id(now: Optional[datetime] = None) -> str:
-    """Filesystem-safe run identifier (UTC timestamp)."""
-    stamp = now if now is not None else datetime.now(timezone.utc)
-    return stamp.strftime("%Y%m%dT%H%M%SZ")
+def bench_run_id() -> str:
+    """Filesystem-safe run identifier (the current UTC time)."""
+    return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
 
 
 def results_document(

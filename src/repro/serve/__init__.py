@@ -6,8 +6,8 @@ turns that answer into a long-lived service.  A dependency-free asyncio
 HTTP server (:mod:`repro.serve.http`) fronts a transport-independent
 application (:mod:`repro.serve.app`) that loads calibrated models from
 the registry (:mod:`repro.models.registry`), serves single and batched
-predictions through the vectorised
-:meth:`~repro.models.base.Model.predict_batch` path — bitwise-identical
+predictions through the model's one vectorised
+:meth:`~repro.models.base.Model.predict` — a batch is bitwise-identical
 to sequential single-point calls — with
 :meth:`~repro.models.base.Model.predict_with_provenance` uncertainty
 bands and extrapolation flags per point, and reports itself through

@@ -10,18 +10,19 @@ optional :class:`~repro.obs.live.AccessLog`.  The asyncio HTTP layer
 tests drive :meth:`handle` directly, so every endpoint is exercised
 without opening a socket.
 
-Prediction goes through the vectorised
-:meth:`~repro.models.base.Model.predict_with_provenance` /
-:meth:`~repro.models.base.Model.predict_batch` path, whose contract is
-that a 10k-point batch returns CPI bitwise-identical to 10k sequential
-single-point ``predict`` calls — so a client batching requests never
-changes the numbers, only the latency.
+Prediction goes through the model's one vectorised
+:meth:`~repro.models.base.Model.predict` (wrapped by
+:meth:`~repro.models.base.Model.predict_with_provenance` unless the request
+asks for ``"provenance": false``), whose contract is that a 10k-point
+batch returns CPI bitwise-identical to 10k sequential single-point calls —
+so a client batching requests never changes the numbers, only the
+latency.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -271,7 +272,7 @@ class ServingApp:
                 payload["extrapolated"] = prov.extrapolated.tolist()
                 payload["kind"] = prov.kind
             else:
-                payload["values"] = service.model.predict_batch(points).tolist()
+                payload["values"] = service.model.predict(points).tolist()
         self._record("inc", "points_predicted", len(points))
         self._record("observe", "serve/batch_points", len(points))
         return 200, payload

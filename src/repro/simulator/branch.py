@@ -12,11 +12,7 @@ mispredict only on BTB misses.
 
 from __future__ import annotations
 
-from repro.simulator.config import ProcessorConfig
-
-
-def _is_pow2(x: int) -> bool:
-    return x > 0 and (x & (x - 1)) == 0
+from repro.simulator.config import ProcessorConfig, _is_pow2
 
 
 class GShare:
@@ -215,12 +211,11 @@ def make_direction_predictor(config: ProcessorConfig):
         return GShare(config.bpred_entries, config.bpred_history)
     if kind == "tournament":
         return Tournament(config.bpred_entries, config.bpred_history)
-    if kind == "perceptron":
-        # Perceptron entries are ~weights-vector sized; scale the table so
-        # total storage stays comparable to the counter-based schemes.
-        entries = max(64, config.bpred_entries // 16)
-        return Perceptron(entries, history_bits=max(config.bpred_history, 8))
-    raise ValueError(f"unknown bpred_kind {kind!r}")
+    # "perceptron", the one kind left (``ProcessorConfig`` admits no other).
+    # Perceptron entries are ~weights-vector sized; scale the table so
+    # total storage stays comparable to the counter-based schemes.
+    entries = max(64, config.bpred_entries // 16)
+    return Perceptron(entries, history_bits=max(config.bpred_history, 8))
 
 
 class BranchUnit:

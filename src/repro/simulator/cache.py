@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-
-def _is_pow2(x: int) -> bool:
-    return x > 0 and (x & (x - 1)) == 0
+from repro.simulator.config import _is_pow2
 
 
 class Cache:

@@ -16,6 +16,26 @@ from typing import Dict, Mapping
 #: splitting ``pipe_depth`` into front-end and back-end portions.
 BACKEND_STAGES = 4
 
+#: The direction predictors ``bpred_kind`` can name.
+BPRED_KINDS = ("bimodal", "gshare", "tournament", "perceptron")
+
+#: Fields that count something the machine must have at least one of.
+_POSITIVE = (
+    "pipe_depth rob_size iq_size lsq_size l2_size_kb l2_lat "
+    "il1_size_kb dl1_size_kb dl1_lat fetch_width commit_width "
+    "il1_assoc dl1_assoc l2_assoc l2_capacity_scale "
+    "dram_banks bus_cycles mc_queue_depth prefetch_degree tlb_entries "
+    "num_ialu num_imult num_fp num_mem_ports"  # a pool needs a unit
+).split()
+
+#: Fields that size an index or a line, so must be powers of two.
+_POW2 = ("il1_line", "dl1_line", "l2_line", "bpred_entries", "btb_entries")
+
+
+def _is_pow2(x: int) -> bool:
+    """Whether ``x`` is a positive power of two."""
+    return x > 0 and (x & (x - 1)) == 0
+
 
 @dataclass(frozen=True)
 class ProcessorConfig:
@@ -85,19 +105,35 @@ class ProcessorConfig:
     perfect_icache: bool = False  # every fetch hits the L1I
 
     def __post_init__(self) -> None:
-        positive = (
-            "pipe_depth rob_size iq_size lsq_size l2_size_kb l2_lat "
-            "il1_size_kb dl1_size_kb dl1_lat fetch_width commit_width "
-            "l2_capacity_scale tlb_entries "
-            "num_ialu num_imult num_fp num_mem_ports"  # a pool needs a unit
-        ).split()
-        for name in positive:
+        """Reject any machine the simulator cannot build, naming the field."""
+        for name in _POSITIVE:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in _POW2:
+            if not _is_pow2(getattr(self, name)):
+                raise ValueError(f"{name} must be a power of two")
         if self.tlb_walk_lat < 0:
             raise ValueError("tlb_walk_lat must be non-negative")
+        if self.bpred_history < 0:
+            raise ValueError("bpred_history must be non-negative")
+        if self.bpred_kind not in BPRED_KINDS:
+            raise ValueError(f"bpred_kind must be one of {', '.join(BPRED_KINDS)}, "
+                             f"not {self.bpred_kind!r}")
+        if self.dram_row_hit_lat > self.dram_lat:
+            raise ValueError("dram_row_hit_lat cannot exceed dram_lat")
         if self.iq_size > self.rob_size or self.lsq_size > self.rob_size:
             raise ValueError("IQ and LSQ cannot exceed the ROB size")
+        for level, size_kb in (("il1", self.il1_size_kb), ("dl1", self.dl1_size_kb),
+                               ("l2", self.l2_simulated_kb)):
+            assoc = getattr(self, f"{level}_assoc")
+            if size_kb * 1024 // getattr(self, f"{level}_line") < assoc:
+                raise ValueError(f"{level}_size_kb holds fewer lines than "
+                                 f"{level}_assoc={assoc} (simulated at {size_kb} KB)")
+
+    @property
+    def l2_simulated_kb(self) -> int:
+        """The L2 KB the simulator builds: nominal / ``l2_capacity_scale``, at least 8."""
+        return max(8, self.l2_size_kb // self.l2_capacity_scale)
 
     @property
     def front_depth(self) -> int:
@@ -110,13 +146,13 @@ class ProcessorConfig:
         return max(1, self.pipe_depth - BACKEND_STAGES)
 
     @classmethod
-    def from_design_point(cls, point: Mapping[str, float], **fixed) -> "ProcessorConfig":
+    def from_design_point(cls, point: Mapping[str, float]) -> "ProcessorConfig":
         """Build a configuration from a *resolved* design-point dictionary.
 
         ``point`` must use the design-space parameter names with queue
         fractions already resolved to absolute sizes (see
-        :meth:`repro.core.design_space.DesignSpace.resolve`); any additional
-        keyword arguments override fixed machine parameters.
+        :meth:`repro.core.design_space.DesignSpace.resolve`); every fixed
+        machine parameter keeps its default.
         """
         return cls(
             pipe_depth=int(round(point["pipe_depth"])),
@@ -128,7 +164,6 @@ class ProcessorConfig:
             il1_size_kb=int(round(point["il1_size_kb"])),
             dl1_size_kb=int(round(point["dl1_size_kb"])),
             dl1_lat=int(round(point["dl1_lat"])),
-            **fixed,
         )
 
     def as_dict(self) -> Dict[str, int]:

@@ -48,8 +48,7 @@ class MemoryHierarchy:
         self.il1 = Cache(config.il1_size_kb, config.il1_line, config.il1_assoc, "il1")
         self.dl1 = Cache(config.dl1_size_kb, config.dl1_line, config.dl1_assoc,
                          "dl1", track_dirty=track_dirty)
-        effective_l2_kb = max(8, config.l2_size_kb // config.l2_capacity_scale)
-        self.l2 = Cache(effective_l2_kb, config.l2_line, config.l2_assoc, "l2",
+        self.l2 = Cache(config.l2_simulated_kb, config.l2_line, config.l2_assoc, "l2",
                         track_dirty=track_dirty)
         self.dram = DRAM(config.dram_banks, config.dram_lat, config.dram_row_hit_lat)
         self.memctrl = MemoryController(self.dram, config.bus_cycles, config.mc_queue_depth)

@@ -18,7 +18,9 @@ the interesting trade-offs are modeled, not assumed away.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
+
+from repro.simulator.config import _is_pow2
 
 
 class NextLinePrefetcher:
@@ -27,7 +29,7 @@ class NextLinePrefetcher:
     __slots__ = ("line_size", "issued")
 
     def __init__(self, line_size: int = 64):
-        if line_size & (line_size - 1) or line_size <= 0:
+        if not _is_pow2(line_size):
             raise ValueError("line_size must be a power of two")
         self.line_size = line_size
         self.issued = 0
@@ -51,7 +53,7 @@ class StridePrefetcher:
                  "_stride", "_confirmed", "issued")
 
     def __init__(self, entries: int = 256, degree: int = 2, line_size: int = 64):
-        if entries & (entries - 1) or entries <= 0:
+        if not _is_pow2(entries):
             raise ValueError("entries must be a power of two")
         if degree < 1:
             raise ValueError("degree must be >= 1")

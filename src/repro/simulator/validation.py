@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.core.design_space import DesignSpace
+from repro.core.validation import trend_agreement
 from repro.simulator.config import ProcessorConfig
 from repro.simulator.refsim import ReferenceSimulator
 from repro.simulator.simulator import Simulator
@@ -35,18 +34,10 @@ class TrendReport:
     def agreement(self) -> float:
         """Fraction of sweep steps where both CPIs move the same way.
 
-        Steps where the detailed CPI barely moves (< 0.5% relative) are
-        counted as agreeing — a flat response carries no directional
-        information.
+        Steps where the detailed CPI barely moves (< 0.5% relative) count
+        as agreeing (:func:`repro.core.validation.trend_agreement`).
         """
-        d = np.diff(self.detailed_cpi)
-        r = np.diff(self.reference_cpi)
-        if len(d) == 0:
-            return 1.0
-        base = np.asarray(self.detailed_cpi[:-1])
-        flat = np.abs(d) < 0.005 * base
-        same = np.sign(d) == np.sign(r)
-        return float(np.mean(same | flat))
+        return trend_agreement(self.detailed_cpi, self.reference_cpi)
 
 
 def sweep_parameter(

@@ -23,6 +23,11 @@ from repro.simulator.trace import Trace
 #: anything beyond (or never reused) falls into the "cold" bucket.
 MAX_REUSE_LINES = 1 << 17
 
+#: Reuse distances are measured over the trace's first 2 * REUSE_SAMPLE
+#: memory references, the first WARM_FRAC of which only warm the stack.
+REUSE_SAMPLE = 6000
+WARM_FRAC = 0.25
+
 
 @dataclass
 class StatProfile:
@@ -48,10 +53,10 @@ class StatProfile:
     load_load_dep_frac: float = 0.0
 
 
-def _reuse_octaves(lines: np.ndarray, warm_frac: float = 0.25) -> List[Tuple[int, float]]:
+def _reuse_octaves(lines: np.ndarray) -> List[Tuple[int, float]]:
     """Stack-distance histogram over octaves (LRU stack via OrderedDict).
 
-    The first ``warm_frac`` of the references only warm the stack and are
+    The first :data:`WARM_FRAC` of the references only warm the stack and are
     excluded from the histogram — otherwise every first touch of the hot
     working set is misclassified as cold, inflating the synthetic trace's
     compulsory-miss share.
@@ -60,7 +65,7 @@ def _reuse_octaves(lines: np.ndarray, warm_frac: float = 0.25) -> List[Tuple[int
     octaves: Dict[int, int] = {}
     cold = 0
     recorded = 0
-    warm_until = int(len(lines) * warm_frac)
+    warm_until = int(len(lines) * WARM_FRAC)
     for i, line in enumerate(lines.tolist()):
         record = i >= warm_until
         if record:
@@ -90,12 +95,12 @@ def _reuse_octaves(lines: np.ndarray, warm_frac: float = 0.25) -> List[Tuple[int
     return out
 
 
-def profile_trace(trace: Trace, reuse_sample: int = 6000) -> StatProfile:
+def profile_trace(trace: Trace) -> StatProfile:
     """Measure a :class:`StatProfile` from ``trace``.
 
-    ``reuse_sample`` caps the number of memory references used for the
-    (quadratic-ish) stack-distance measurement; the leading portion of the
-    trace is used, which is how profiling tools subsample too.
+    :data:`REUSE_SAMPLE` caps the memory references used for the
+    stack-distance measurement; the leading portion of the trace is used,
+    which is how profiling tools subsample too.
     """
     n = len(trace)
     if n == 0:
@@ -143,7 +148,7 @@ def profile_trace(trace: Trace, reuse_sample: int = 6000) -> StatProfile:
         p = site.mean()
         biases.append(max(p, 1 - p))
     mem_mask = (trace.op == isa.LOAD) | (trace.op == isa.STORE)
-    mem_lines = (trace.addr[mem_mask] >> 6)[: 2 * reuse_sample]
+    mem_lines = (trace.addr[mem_mask] >> 6)[: 2 * REUSE_SAMPLE]
     stores = trace.op[mem_mask]
 
     # Load -> load dependence share (serialised pointer chains).

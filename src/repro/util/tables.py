@@ -47,13 +47,12 @@ def format_table(
 def render_series(
     x: Sequence[float],
     y: Sequence[float],
-    width: int = 60,
     label: str = "",
 ) -> str:
     """Render an (x, y) series as a one-line-per-point ASCII bar chart.
 
     Used to show the *shape* of figure reproductions (knees, tapering error
-    curves) directly in benchmark output.
+    curves) directly in benchmark output.  The longest bar is 60 characters.
     """
     if len(x) != len(y):
         raise ValueError("x and y must have the same length")
@@ -64,6 +63,6 @@ def render_series(
     span = (hi - lo) or 1.0
     lines = [label] if label else []
     for xv, yv in zip(x, y):
-        bar = "#" * max(1, int(round((yv - lo) / span * width)))
+        bar = "#" * max(1, int(round((yv - lo) / span * 60)))
         lines.append(f"{_cell(xv):>10} | {bar} {yv:.4g}")
     return "\n".join(lines)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -60,10 +60,11 @@ def _per_site_entropy(pcs: np.ndarray, taken: np.ndarray) -> float:
     return total / len(pcs)
 
 
-def characterize(
-    trace: Trace,
-    window_sizes: List[int] = (64, 256, 1024, 4096),
-) -> TraceCharacteristics:
+#: Memory-reference window lengths the working-set sizes are measured over.
+WINDOW_SIZES = (64, 256, 1024, 4096)
+
+
+def characterize(trace: Trace) -> TraceCharacteristics:
     """Measure :class:`TraceCharacteristics` for ``trace``."""
     n = len(trace)
     if n == 0:
@@ -83,7 +84,7 @@ def characterize(
     data_kb = len(np.unique(lines)) * 64 / 1024.0 if len(lines) else 0.0
 
     working_sets: Dict[int, float] = {}
-    for w in window_sizes:
+    for w in WINDOW_SIZES:
         if len(lines) < w:
             continue
         # Sample windows rather than sliding exhaustively.

@@ -36,10 +36,10 @@ STREAM_BASE = 0x3000_0000
 class StackStream:
     """References within a small stack frame region (high locality)."""
 
-    def __init__(self, size_bytes: int = 4096, base: int = STACK_BASE):
+    def __init__(self, size_bytes: int = 4096):
         if size_bytes < 8:
             raise ValueError("stack region too small")
-        self.base = base
+        self.base = STACK_BASE
         self.size = size_bytes
 
     def next(self, rng: np.random.Generator) -> int:
@@ -51,10 +51,10 @@ class StackStream:
 class HotStream:
     """Uniform references over the hot working set."""
 
-    def __init__(self, size_bytes: int, base: int = HOT_BASE):
+    def __init__(self, size_bytes: int):
         if size_bytes < 8:
             raise ValueError("hot region too small")
-        self.base = base
+        self.base = HOT_BASE
         self.size = size_bytes
 
     def next(self, rng: np.random.Generator) -> int:
@@ -86,13 +86,12 @@ class StridedStream:
         stride: int = 16,
         num_streams: int = 4,
         segment_bytes: int = 16 * 1024,
-        base: int = STREAM_BASE,
     ):
         if footprint_bytes < stride * num_streams:
             raise ValueError("footprint too small for the requested streams")
         if segment_bytes < stride:
             raise ValueError("segment must hold at least one stride")
-        self.base = base
+        self.base = STREAM_BASE
         self.footprint = footprint_bytes
         self.stride = stride
         self.segment = min(segment_bytes, footprint_bytes // num_streams or segment_bytes)
@@ -153,7 +152,6 @@ class ChaseStream:
     def __init__(
         self,
         footprint_bytes: int,
-        base: int = HEAP_BASE,
         reuse_frac: float = 0.65,
         min_distance: int = 8,
     ):
@@ -161,7 +159,7 @@ class ChaseStream:
             raise ValueError("footprint too small for the reuse-distance profile")
         if not 0.0 <= reuse_frac < 1.0:
             raise ValueError("reuse_frac must be in [0, 1)")
-        self.base = base
+        self.base = HEAP_BASE
         self.size = footprint_bytes
         self.reuse_frac = reuse_frac
         self.min_distance = min_distance

@@ -54,6 +54,22 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["simulate", "twolf", "warp_factor=9", "--trace-length", "2000"])
 
+    def test_simulate_rejects_unbuildable_machine_by_field(self, tmp_path):
+        # A 48-byte line is a machine the simulator cannot build: the
+        # config names the field before any run, with no traceback.
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+                   REPRO_RESULTS_DIR=str(tmp_path / "results"),
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "mcf", "dl1_line=48",
+             "--trace-length", "256"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert "bad configuration: dl1_line" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_build_small_budget(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         code = main([

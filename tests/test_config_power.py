@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.design_space import paper_design_space
 from repro.simulator.config import BACKEND_STAGES, ProcessorConfig
+from repro.simulator.hierarchy import MemoryHierarchy
 from repro.simulator.power import estimate_energy, structure_capacity_kb
 from repro.simulator.simulator import simulate
 from repro.workloads.generator import generate_trace
@@ -46,6 +47,39 @@ class TestConfig:
         with pytest.raises(ValueError, match="l2_capacity_scale"):
             ProcessorConfig(l2_capacity_scale=scale)
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("il1_line", {"il1_line": 48}),
+        ("dl1_line", {"dl1_line": 48}),
+        ("l2_line", {"l2_line": 96}),
+        ("bpred_entries", {"bpred_entries": 1000}),
+        ("btb_entries", {"btb_entries": 0}),
+        ("il1_assoc", {"il1_assoc": 0}),
+        ("dl1_assoc", {"dl1_assoc": 0}),
+        ("l2_assoc", {"l2_assoc": 0}),
+        ("dram_banks", {"dram_banks": 0}),
+        ("bus_cycles", {"bus_cycles": 0}),
+        ("mc_queue_depth", {"mc_queue_depth": 0}),
+        ("prefetch_degree", {"prefetch_degree": 0, "enable_stride_prefetch": True}),
+        ("bpred_history", {"bpred_history": -1}),
+        ("bpred_kind", {"bpred_kind": "tage"}),
+        ("dram_row_hit_lat", {"dram_row_hit_lat": 121}),
+        ("il1_size_kb", {"il1_size_kb": 1, "il1_assoc": 32}),
+        ("dl1_size_kb", {"dl1_size_kb": 1, "dl1_line": 128, "dl1_assoc": 16}),
+        # 16 KB nominal holds 128 lines of 128 B, but the simulated L2 is
+        # the 8 KB floor, which holds 64.
+        ("l2_size_kb", {"l2_size_kb": 16, "l2_assoc": 128}),
+    ])
+    def test_unbuildable_machine_names_its_field(self, field, overrides):
+        with pytest.raises(ValueError, match=field):
+            ProcessorConfig(**overrides)
+
+    @pytest.mark.parametrize("l2_size_kb, scale", [(16, 2), (1024, 2), (256, 64)])
+    def test_hierarchy_builds_the_simulated_l2(self, l2_size_kb, scale):
+        config = ProcessorConfig(l2_size_kb=l2_size_kb, l2_capacity_scale=scale)
+        assert config.l2_simulated_kb == max(8, l2_size_kb // scale)
+        l2 = MemoryHierarchy(config).l2
+        assert l2.size_bytes == config.l2_simulated_kb * 1024
+
     def test_from_design_point(self):
         space = paper_design_space()
         point = space.resolve({
@@ -56,16 +90,6 @@ class TestConfig:
         config = ProcessorConfig.from_design_point(point)
         assert config.iq_size == 32
         assert config.lsq_size == 16
-
-    def test_from_design_point_overrides_fixed(self):
-        space = paper_design_space()
-        point = space.resolve({
-            "pipe_depth": 12, "rob_size": 64, "iq_frac": 0.5, "lsq_frac": 0.5,
-            "l2_size_kb": 1024, "l2_lat": 12, "il1_size_kb": 32,
-            "dl1_size_kb": 32, "dl1_lat": 2,
-        })
-        config = ProcessorConfig.from_design_point(point, fetch_width=8)
-        assert config.fetch_width == 8
 
     def test_key_stable_and_distinct(self):
         a = ProcessorConfig(rob_size=64)

@@ -11,8 +11,6 @@ class TestTerms:
         # 1 intercept + n mains + n(n-1)/2 interactions.
         terms = candidate_terms(9)
         assert len(terms) == 1 + 9 + 36
-        no_inter = candidate_terms(9, interactions=False)
-        assert len(no_inter) == 10
 
     def test_labels(self):
         names = ["a", "b", "c"]
